@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -48,7 +49,6 @@ class RunConfig:
     seed: int
     variants: int
     paraphraser: str
-    threshold: float = DEFAULT_OVERLAP_THRESHOLD
 
     def __post_init__(self) -> None:
         NoiseDistribution(self.probs)  # validates
@@ -252,7 +252,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     docs = (record.working_doc() for record in read_corpus(args.input, raw_text=args.raw_text))
     cleaned = external_denoise(docs, args.command)
     with open(args.output, "w", encoding="utf-8") as out:
-        for record, doc in zip(read_corpus(args.input, raw_text=args.raw_text), cleaned):
+        # strict: the adapter's trailing checks (extra output, exit status)
+        # run only when it is iterated to exhaustion.
+        records = read_corpus(args.input, raw_text=args.raw_text)
+        for record, doc in zip(records, cleaned, strict=True):
             record.noisy = [sent.raw for sent in doc.sentences]
             provenance = dict(record.provenance or {})
             provenance["denoise"] = {"method": "external"}
@@ -285,7 +288,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         reference_docs = {
             record.id: record.working_doc() for record in read_corpus(args.references)
         }
-        references = _resolve_references(read_corpus(args.before), reference_docs)
+        # The two copies advance in lockstep inside eval_report, so tee
+        # buffers at most one document.
+        before, before_ids = itertools.tee(before)
+        references = _resolve_references(before_ids, reference_docs)
     report = eval_report(before, after, references, repetition_threshold=args.threshold)
     if args.output:
         _write_json(args.output, report.to_dict())
@@ -294,16 +300,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _resolve_references(
-    records: Iterable[CorpusRecord], reference_docs: dict[str, SummaryDoc]
+    docs: Iterable[SummaryDoc], reference_docs: dict[str, SummaryDoc]
 ) -> Iterator[SummaryDoc]:
-    """Pair each record with its reference; noise variant suffixes fall back to the base id."""
-    for record in records:
-        doc = reference_docs.get(record.id)
+    """Pair each document with its reference; noise variant suffixes fall back to the base id."""
+    for source in docs:
+        doc = reference_docs.get(source.source_id)
         if doc is None:
-            doc = reference_docs.get(_VARIANT_SUFFIX.sub("", record.id))
+            doc = reference_docs.get(_VARIANT_SUFFIX.sub("", source.source_id))
         if doc is None:
-            raise AlignmentError(f"no reference for record {record.id!r}")
-        yield replace(doc, source_id=record.id)
+            raise AlignmentError(f"no reference for record {source.source_id!r}")
+        yield replace(doc, source_id=source.source_id)
 
 
 # --- analyze -------------------------------------------------------------

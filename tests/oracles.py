@@ -1,8 +1,9 @@
 """Brute-force reference implementations, used only to cross-check the real metrics.
 
 These deliberately use different algorithms from the package: n-gram matches
-are counted by consuming reference occurrences one at a time from a list, and
-the LCS is computed with a full quadratic table instead of a rolling row.
+are counted by consuming reference occurrences one at a time from a list
+instead of intersecting Counters, and the LCS is computed with a full
+quadratic table instead of bit-parallel row updates.
 """
 
 from __future__ import annotations

@@ -138,6 +138,20 @@ def test_denoise_external_protocol_violation_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sh -c 'cat; exit 3'", "sh -c 'cat; echo extra'"])
+def test_denoise_external_failure_after_last_line_exits_one(tmp_path, capsys, command):
+    # Every record gets its line back, so only the adapter's trailing checks
+    # (exit status, extra output) can catch these.
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    code = cli_main([
+        "denoise", "-i", str(corpus), "-o", str(out),
+        "--method", "external", "--command", command,
+    ])
+    assert code == 1
+    assert "sumnoise: error:" in capsys.readouterr().err
+
+
 def test_stats_on_known_corpus(tmp_path, capsys):
     corpus = tiny_corpus(tmp_path)
     out = tmp_path / "stats.json"
@@ -179,6 +193,23 @@ def test_eval_missing_reference_is_an_error(tmp_path, capsys):
     write_corpus([CorpusRecord(id="zz", article=["a b"], summary=["a b"])], other)
     assert cli_main(["eval", "-b", str(corpus), "-a", str(corpus), "-r", str(other)]) == 1
     assert "t1" in capsys.readouterr().err
+
+
+def test_eval_with_references_reports_malformed_before_line(tmp_path, capsys):
+    corpus = tiny_corpus(tmp_path)
+    before = tmp_path / "before.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    before.write_text(lines[0] + '{"id": "t2"}\n', encoding="utf-8")
+    assert cli_main(["eval", "-b", str(before), "-a", str(corpus), "-r", str(corpus)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_eval_with_references_rejects_longer_before(tmp_path, capsys):
+    corpus = tiny_corpus(tmp_path)
+    after = tmp_path / "after.jsonl"
+    after.write_text(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    assert cli_main(["eval", "-b", str(corpus), "-a", str(after), "-r", str(corpus)]) == 1
+    assert "different lengths" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

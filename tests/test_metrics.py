@@ -10,6 +10,7 @@ from oracles import clipped_match_count, lcs_full_table, ngram_list, precision_r
 from sumnoise.errors import EmptyDocumentError, InvalidThresholdError, ZeroNgramsError
 from sumnoise.metrics import (
     RougeScore,
+    _lcs_length,
     redundancy_report,
     repeat_rate,
     repetition_count,
@@ -177,6 +178,23 @@ def test_rouge_matches_oracles_on_random_documents():
         )
         got_l = rouge_l(cand, ref)
         assert (got_l.precision, got_l.recall, got_l.f1) == expected_l
+
+
+def test_rouge_l_matches_oracle_on_long_and_repetitive_documents():
+    # Past 30 tokens the LCS bit vector spans several int digits; one- and
+    # two-symbol alphabets give the longest carry chains.
+    rng = random.Random(20261018)
+    for cand_alphabet, ref_alphabet in [("a", "a"), ("ab", "ab"), ("abcdefg", "abcdefg"), ("abc", "xyz")]:
+        for _ in range(25):
+            cand_tokens = [rng.choice(cand_alphabet) for _ in range(rng.randint(1, 150))]
+            ref_tokens = [rng.choice(ref_alphabet) for _ in range(rng.randint(1, 150))]
+            cand, ref = make_document([" ".join(cand_tokens)]), make_document([" ".join(ref_tokens)])
+            expected = precision_recall_f1(
+                lcs_full_table(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens)
+            )
+            got = rouge_l(cand, ref)
+            assert (got.precision, got.recall, got.f1) == expected
+    assert _lcs_length((), ("a", "b")) == _lcs_length(("a", "b"), ()) == 0
 
 
 def test_oracle_ngram_list_sanity():
