@@ -34,9 +34,8 @@ from .noising import (
     identity_paraphrase,
     make_noisy_record,
     sample_noise_count,
-    sentence_similarity,
 )
-from .text import SummaryDoc, TokenizedSentence, make_document, split_sentences, tokenize, unigram_overlap
+from .text import SummaryDoc, TokenizedSentence, make_document, sentence_similarity, split_sentences, tokenize, unigram_overlap
 
 __version__ = "0.1.0"
 

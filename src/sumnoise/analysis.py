@@ -22,8 +22,7 @@ from .metrics import (
     rouge_n,
     summary_stats,
 )
-from .noising import sentence_similarity
-from .text import SummaryDoc
+from .text import SummaryDoc, sentence_similarity
 
 DEFAULT_MATCH_THRESHOLD = 0.5
 
@@ -171,27 +170,24 @@ def aggregate_operations(
     return OperationDistribution(fractions=fractions, counts=counts, sample_count=total)
 
 
-def aligned_pairs(
-    before: Iterable[SummaryDoc], after: Iterable[SummaryDoc]
-) -> Iterator[tuple[SummaryDoc, SummaryDoc]]:
-    """Zip two streams, insisting that record ids line up pairwise."""
+def aligned_pairs(*streams: Iterable[SummaryDoc]) -> Iterator[tuple[SummaryDoc, ...]]:
+    """Zip document streams, insisting that record ids line up across all of them."""
     sentinel = object()
-    before_iter, after_iter = iter(before), iter(after)
+    iterators = [iter(stream) for stream in streams]
     while True:
-        b = next(before_iter, sentinel)
-        a = next(after_iter, sentinel)
-        if b is sentinel and a is sentinel:
+        items = [next(it, sentinel) for it in iterators]
+        if all(item is sentinel for item in items):
             return
-        if b is sentinel or a is sentinel:
-            present = a if b is sentinel else b
+        if any(item is sentinel for item in items):
+            present = next(item for item in items if item is not sentinel)
             raise AlignmentError(
                 f"streams have different lengths; unmatched record {present.source_id!r}"
             )
-        if b.source_id != a.source_id:
-            raise AlignmentError(
-                f"record ids diverge: {b.source_id!r} vs {a.source_id!r}"
-            )
-        yield b, a
+        first = items[0].source_id
+        other = next((doc.source_id for doc in items if doc.source_id != first), None)
+        if other is not None:
+            raise AlignmentError(f"record ids diverge: {first!r} vs {other!r}")
+        yield tuple(items)
 
 
 def eval_report(
@@ -206,45 +202,26 @@ def eval_report(
     supplied), mean Repeat rate, mean sentence and token counts, and the
     total repetition count. ROUGE and Repeat are scaled to [0, 100].
     """
-    accumulators = {"before": _Accumulator(), "after": _Accumulator()}
-    streams: list[Iterable[SummaryDoc]] = [before, after]
-    if references is not None:
-        streams.append(references)
-    for docs in _zip_aligned(streams):
-        reference = docs[2] if references is not None else None
-        accumulators["before"].add(docs[0], reference, repetition_threshold)
-        accumulators["after"].add(docs[1], reference, repetition_threshold)
-    if accumulators["before"].records == 0:
+    systems = {
+        "before": MetricAccumulator(repetition_threshold),
+        "after": MetricAccumulator(repetition_threshold),
+    }
+    streams = [before, after] if references is None else [before, after, references]
+    for before_doc, after_doc, *reference in aligned_pairs(*streams):
+        systems["before"].add(before_doc, *reference)
+        systems["after"].add(after_doc, *reference)
+    if systems["before"].records == 0:
         raise EmptyCorpusError("no records to evaluate")
-    rows = tuple(
-        accumulators[system].row(system, with_rouge=references is not None)
-        for system in ("before", "after")
+    return EvalReport(
+        rows=tuple(acc.row(name, with_rouge=references is not None) for name, acc in systems.items())
     )
-    return EvalReport(rows=rows)
 
 
-def _zip_aligned(streams: list[Iterable[SummaryDoc]]) -> Iterator[tuple[SummaryDoc, ...]]:
-    sentinel = object()
-    iterators = [iter(stream) for stream in streams]
-    while True:
-        items = [next(it, sentinel) for it in iterators]
-        if all(item is sentinel for item in items):
-            return
-        if any(item is sentinel for item in items):
-            present = next(item for item in items if item is not sentinel)
-            raise AlignmentError(
-                f"streams have different lengths; unmatched record {present.source_id!r}"
-            )
-        ids = {doc.source_id for doc in items}
-        if len(ids) != 1:
-            first = items[0].source_id
-            other = next(doc.source_id for doc in items if doc.source_id != first)
-            raise AlignmentError(f"record ids diverge: {first!r} vs {other!r}")
-        yield tuple(items)
+class MetricAccumulator:
+    """Per-document metric sums for one system; ``row`` turns them into corpus means."""
 
-
-class _Accumulator:
-    def __init__(self) -> None:
+    def __init__(self, repetition_threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> None:
+        self.repetition_threshold = repetition_threshold
         self.records = 0
         self.rouge1 = 0.0
         self.rouge2 = 0.0
@@ -254,21 +231,19 @@ class _Accumulator:
         self.tokens = 0
         self.repetitions = 0
 
-    def add(
-        self, doc: SummaryDoc, reference: SummaryDoc | None, repetition_threshold: float
-    ) -> None:
+    def add(self, doc: SummaryDoc, reference: SummaryDoc | None = None) -> None:
         self.records += 1
         sentences, tokens = summary_stats(doc)
         self.sentences += sentences
         self.tokens += tokens
         self.repeat += repeat_rate(doc)
-        self.repetitions += repetition_count(doc, repetition_threshold)
+        self.repetitions += repetition_count(doc, self.repetition_threshold)
         if reference is not None:
             self.rouge1 += rouge_n(doc, reference, 1).f1
             self.rouge2 += _safe_rouge2(doc, reference)
             self.rouge_l += rouge_l(doc, reference).f1
 
-    def row(self, system: str, with_rouge: bool) -> SystemReport:
+    def row(self, system: str, with_rouge: bool = False) -> SystemReport:
         n = self.records
         return SystemReport(
             system=system,

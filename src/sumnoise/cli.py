@@ -1,66 +1,47 @@
 """Command-line surface: noise, denoise, eval, analyze, stats.
 
-Every subcommand is deterministic for a fixed --seed: record-level seeds are
-derived from the run seed and record ids, worker pools preserve input order,
-and all serialization uses a fixed field order. Exit codes: 0 on success,
-1 on a processing error (with a diagnostic on stderr), 2 on usage errors.
+Every subcommand is deterministic: noise derives record-level seeds from
+--seed and the record ids, and all serialization uses a fixed field order.
+An -o file appears only when its run succeeds, and never replaces one of the
+run's inputs. Exit codes: 0 on success, 1 on a processing error (with a
+diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import itertools
 import json
+import os
 import re
+import stat
 import sys
-from dataclasses import dataclass, replace
-from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from dataclasses import replace
+from queue import SimpleQueue
+from typing import IO, Iterable, Iterator, Sequence
 
-from .analysis import DEFAULT_MATCH_THRESHOLD, aggregate_operations, aligned_pairs, eval_report
+from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusRecord, read_corpus, record_to_line
 from .denoise import external_denoise, overlap_denoise
 from .errors import AlignmentError, EmptyCorpusError, SumnoiseError
-from .metrics import DEFAULT_OVERLAP_THRESHOLD, repeat_rate, repetition_count, summary_stats
+from .metrics import DEFAULT_OVERLAP_THRESHOLD
+from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
     DEFAULT_VARIANTS,
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
-    Paraphraser,
     identity_paraphrase,
     make_noisy_record,
 )
 from .text import SummaryDoc
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 _VARIANT_SUFFIX = re.compile(r"\.v\d+$")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for a noise run."""
-
-    noise_type: NoiseType
-    probs: tuple[float, ...]
-    seed: int
-    variants: int
-    paraphraser: str
-
-    def __post_init__(self) -> None:
-        NoiseDistribution(self.probs)  # validates
-        if self.variants < 1:
-            raise SumnoiseError(f"variants must be at least 1, got {self.variants}")
-        if self.paraphraser not in ("identity", "drop-token"):
-            raise SumnoiseError(f"unknown paraphraser {self.paraphraser!r}")
-
-    def build_paraphraser(self) -> Paraphraser:
-        if self.paraphraser == "drop-token":
-            return DropTokenParaphraser(self.seed)
-        return identity_paraphrase
+class UsageError(Exception):
+    """A command line that parses but cannot be run as given; exits 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument(
         "--paraphraser", default="identity", choices=["identity", "drop-token"]
     )
-    noise.add_argument("--workers", type=int, default=1)
     noise.add_argument("--raw-text", action="store_true", help="split string fields into sentences")
     noise.set_defaults(func=cmd_noise)
 
@@ -101,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     denoise.add_argument(
         "--command", help="external denoiser command (required with --method external)"
     )
-    denoise.add_argument("--seed", type=int, default=0)
-    denoise.add_argument("--workers", type=int, default=1)
     denoise.add_argument("--raw-text", action="store_true")
     denoise.set_defaults(func=cmd_denoise)
 
@@ -117,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("-o", "--output", help="write the report as JSON here")
     evaluate.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD)
-    evaluate.add_argument("--seed", type=int, default=0)
     evaluate.set_defaults(func=cmd_eval)
 
     analyze = sub.add_parser("analyze", help="classify denoising edit operations")
@@ -125,14 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("-a", "--after", required=True)
     analyze.add_argument("-o", "--output", help="write the distribution as JSON here")
     analyze.add_argument("--tau-match", type=float, default=DEFAULT_MATCH_THRESHOLD)
-    analyze.add_argument("--seed", type=int, default=0)
     analyze.set_defaults(func=cmd_analyze)
 
     stats = sub.add_parser("stats", help="redundancy and length statistics")
     stats.add_argument("-i", "--input", required=True)
     stats.add_argument("-o", "--output", help="write the statistics as JSON here")
     stats.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD)
-    stats.add_argument("--seed", type=int, default=0)
     stats.add_argument("--raw-text", action="store_true")
     stats.set_defaults(func=cmd_stats)
 
@@ -147,10 +122,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exit_request.code or 0)
     try:
         return args.func(args)
-    except SumnoiseError as error:
+    except UsageError as error:
         print(f"sumnoise: error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+        return 2
+    except (SumnoiseError, OSError) as error:
         print(f"sumnoise: error: {error}", file=sys.stderr)
         return 1
 
@@ -159,121 +134,141 @@ def main() -> None:
     sys.exit(cli_main())
 
 
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
+    """Open ``args.output`` for writing; the file appears only if the block completes.
+
+    Writes go to a temporary file beside the target, which replaces the
+    target on success and is removed on failure. An output naming one of the
+    run's inputs is refused before anything is written. Pipes and devices
+    such as /dev/stdout cannot be replaced, so they are written directly.
+    """
+    path = args.output
+    for flag in ("input", "before", "after", "references"):
+        source = getattr(args, flag, None)
+        if source and _same_file(path, source):
+            raise UsageError(f"output {path!r} is the --{flag} file; refusing to overwrite it")
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)  # through symlinks, as open() writes
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    # 0o666 less the umask: the mode a plain open() gives a new file.
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either side missing: nothing to clobber
+        return False
+
+
+def _write_json(args: argparse.Namespace, payload: dict) -> None:
+    with _output(args) as handle:
+        json.dump(payload, handle, indent=2, ensure_ascii=False)
+        handle.write("\n")
+
+
 # --- noise ---------------------------------------------------------------
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        noise_type=NoiseType(args.type),
-        probs=NoiseDistribution.parse(args.dist).probs,
-        seed=args.seed,
-        variants=args.variants,
-        paraphraser=args.paraphraser,
+    noise_type = NoiseType(args.type)
+    dist = NoiseDistribution.parse(args.dist)
+    if args.variants < 1:
+        raise SumnoiseError(f"variants must be at least 1, got {args.variants}")
+    paraphraser = (
+        DropTokenParaphraser(args.seed) if args.paraphraser == "drop-token" else identity_paraphrase
     )
-    records = read_corpus(args.input, raw_text=args.raw_text)
-    worker = functools.partial(_noise_record_lines, config)
     produced = 0
     skipped = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for lines, skips in _map_ordered(worker, records, args.workers):
-            for line in lines:
+    with _output(args) as out:
+        for record in read_corpus(args.input, raw_text=args.raw_text):
+            try:
+                article = record.article_doc()
+                clean = record.summary_doc()
+            except SumnoiseError as error:
+                print(f"sumnoise: skipped record {record.id!r}: {error}", file=sys.stderr)
+                skipped += 1
+                continue
+            for variant in range(args.variants):
+                try:
+                    noisy = make_noisy_record(
+                        article, clean, noise_type, dist, args.seed, variant, paraphraser
+                    )
+                except SumnoiseError as error:
+                    print(
+                        f"sumnoise: skipped record {record.id!r} variant {variant}: {error}",
+                        file=sys.stderr,
+                    )
+                    skipped += 1
+                    continue
+                line = record_to_line(replace(
+                    record,
+                    id=f"{record.id}.v{variant}",
+                    noisy=[sent.raw for sent in noisy.noisy.sentences],
+                    provenance={
+                        "source_id": noisy.source_id,
+                        "noise_type": noisy.noise_type.value,
+                        "noised_indices": list(noisy.noised_indices),
+                        "variant_index": noisy.variant_index,
+                        "seed": noisy.seed,
+                    },
+                ))
                 out.write(line + "\n")
-            produced += len(lines)
-            for message in skips:
-                print(f"sumnoise: {message}", file=sys.stderr)
-            skipped += len(skips)
+                produced += 1
     print(f"sumnoise: wrote {produced} records, skipped {skipped}", file=sys.stderr)
     return 0
-
-
-def _noise_record_lines(
-    config: RunConfig, record: CorpusRecord
-) -> tuple[list[str], list[str]]:
-    """Noise one input record into its serialized variants (worker-safe)."""
-    dist = NoiseDistribution(config.probs)
-    paraphraser = config.build_paraphraser()
-    try:
-        article = record.article_doc()
-        clean = record.summary_doc()
-    except SumnoiseError as error:
-        return [], [f"skipped record {record.id!r}: {error}"]
-    lines: list[str] = []
-    skips: list[str] = []
-    for variant in range(config.variants):
-        try:
-            noisy = make_noisy_record(
-                article, clean, config.noise_type, dist, config.seed, variant, paraphraser
-            )
-        except SumnoiseError as error:
-            skips.append(f"skipped record {record.id!r} variant {variant}: {error}")
-            continue
-        out = CorpusRecord(
-            id=f"{record.id}.v{variant}",
-            article=list(record.article),
-            summary=list(record.summary),
-            noisy=[sent.raw for sent in noisy.noisy.sentences],
-            provenance={
-                "source_id": noisy.source_id,
-                "noise_type": noisy.noise_type.value,
-                "noised_indices": list(noisy.noised_indices),
-                "variant_index": noisy.variant_index,
-                "seed": noisy.seed,
-            },
-        )
-        lines.append(record_to_line(out))
-    return lines, skips
-
-
-def _map_ordered(
-    fn: Callable[[T], U], items: Iterable[T], workers: int
-) -> Iterator[U]:
-    """Map over items, optionally on a process pool, preserving input order."""
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with Pool(processes=workers) as pool:
-        yield from pool.imap(fn, items, chunksize=16)
 
 
 # --- denoise -------------------------------------------------------------
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    if args.method == "overlap":
-        worker = functools.partial(_overlap_denoise_line, args.threshold)
-        records = read_corpus(args.input, raw_text=args.raw_text)
-        with open(args.output, "w", encoding="utf-8") as out:
-            for line in _map_ordered(worker, records, args.workers):
-                out.write(line + "\n")
-        return 0
-    if not args.command:
-        print("sumnoise: error: --method external requires --command", file=sys.stderr)
-        return 2
-    docs = (record.working_doc() for record in read_corpus(args.input, raw_text=args.raw_text))
-    cleaned = external_denoise(docs, args.command)
-    with open(args.output, "w", encoding="utf-8") as out:
-        # strict: the adapter's trailing checks (extra output, exit status)
-        # run only when it is iterated to exhaustion.
-        records = read_corpus(args.input, raw_text=args.raw_text)
-        for record, doc in zip(records, cleaned, strict=True):
-            record.noisy = [sent.raw for sent in doc.sentences]
-            provenance = dict(record.provenance or {})
-            provenance["denoise"] = {"method": "external"}
-            record.provenance = provenance
-            out.write(record_to_line(record) + "\n")
+    if args.method == "external" and not args.command:
+        raise UsageError("--method external requires --command")
+    records = read_corpus(args.input, raw_text=args.raw_text)
+    with _output(args) as out:
+        if args.method == "overlap":
+            for record in records:
+                result = overlap_denoise(record.working_doc(), args.threshold)
+                out.write(_denoised_line(record, result.output, {
+                    "method": "overlap",
+                    "threshold": args.threshold,
+                    "deleted_indices": list(result.deleted_indices),
+                }) + "\n")
+            return 0
+        # The adapter's feeder thread reads the corpus; each record waits
+        # here until the command's line for it comes back.
+        pending: SimpleQueue[CorpusRecord] = SimpleQueue()
+
+        def docs() -> Iterator[SummaryDoc]:
+            for record in records:
+                pending.put(record)
+                yield record.working_doc()
+
+        for doc in external_denoise(docs(), args.command):
+            out.write(_denoised_line(pending.get(), doc, {"method": "external"}) + "\n")
     return 0
 
 
-def _overlap_denoise_line(threshold: float, record: CorpusRecord) -> str:
-    result = overlap_denoise(record.working_doc(), threshold)
-    record.noisy = [sent.raw for sent in result.output.sentences]
-    provenance = dict(record.provenance or {})
-    provenance["denoise"] = {
-        "method": "overlap",
-        "threshold": threshold,
-        "deleted_indices": list(result.deleted_indices),
-    }
-    record.provenance = provenance
+def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
+    record.noisy = [sent.raw for sent in doc.sentences]
+    record.provenance = {**(record.provenance or {}), "denoise": details}
     return record_to_line(record)
 
 
@@ -294,7 +289,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         references = _resolve_references(before_ids, reference_docs)
     report = eval_report(before, after, references, repetition_threshold=args.threshold)
     if args.output:
-        _write_json(args.output, report.to_dict())
+        _write_json(args, report.to_dict())
     print(report.to_tsv())
     return 0
 
@@ -330,7 +325,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
     }
     if args.output:
-        _write_json(args.output, payload)
+        _write_json(args, payload)
     for kind, fraction in payload["fractions"].items():
         print(f"{kind}\t{payload['counts'][kind]}\t{fraction:.4f}")
     return 0
@@ -340,40 +335,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records = 0
-    total_sentences = 0
-    total_tokens = 0
-    total_repeat = 0.0
-    total_repetitions = 0
+    accumulator = MetricAccumulator(args.threshold)
     for record in read_corpus(args.input, raw_text=args.raw_text):
-        doc = record.working_doc()
-        sentences, tokens = summary_stats(doc)
-        records += 1
-        total_sentences += sentences
-        total_tokens += tokens
-        total_repeat += repeat_rate(doc)
-        total_repetitions += repetition_count(doc, args.threshold)
-    if records == 0:
+        accumulator.add(record.working_doc())
+    if accumulator.records == 0:
         raise EmptyCorpusError(f"no records in {args.input}")
+    row = accumulator.row("stats")
     payload = {
-        "records": records,
-        "mean_sentences": total_sentences / records,
-        "mean_tokens": total_tokens / records,
-        "repeat_rate": total_repeat / records,
-        "repetitions_total": total_repetitions,
+        "records": row.records,
+        "mean_sentences": row.mean_sentences,
+        "mean_tokens": row.mean_tokens,
+        "repeat_rate": row.repeat_rate,
+        "repetitions_total": row.repetition_total,
         "repetition_threshold": args.threshold,
     }
     if args.output:
-        _write_json(args.output, payload)
+        _write_json(args, payload)
     for key, value in payload.items():
         print(f"{key}\t{value}")
     return 0
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ Three corruptions, all of which inject repeated or peripheral content:
 How many sentences get corrupted is sampled per record from a noise-count
 distribution (default: 15% of records untouched, 85% with one noisy
 sentence). Every record derives its own 64-bit seed from the run seed, the
-record id, and the variant index, so generation replays exactly and can be
-parallelized without changing the output.
+record id, and the variant index, so generation replays exactly, and a
+corpus noised in shards concatenates to the same output.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     InvalidDistributionError,
     SumnoiseError,
 )
-from .text import SummaryDoc, TokenizedSentence, tokenize, unigram_overlap
+from .text import SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
 
 Paraphraser = Callable[[TokenizedSentence], TokenizedSentence]
 
@@ -98,15 +98,6 @@ def sample_noise_count(dist: NoiseDistribution, rng: random.Random) -> int:
         if u < cumulative:
             return k
     return dist.max_count
-
-
-def sentence_similarity(a: TokenizedSentence, b: TokenizedSentence) -> float:
-    """Symmetric closeness: harmonic mean of the two directional unigram overlaps."""
-    forward = unigram_overlap(a, b)
-    backward = unigram_overlap(b, a)
-    if forward + backward == 0.0:
-        return 0.0
-    return 2.0 * forward * backward / (forward + backward)
 
 
 def closest_sentence_index(target: TokenizedSentence, pool: Sequence[TokenizedSentence]) -> int:
@@ -241,8 +232,7 @@ class DropTokenParaphraser:
         payload = f"{self.seed}:{' '.join(sentence.tokens)}".encode("utf-8")
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         drop = 1 + int.from_bytes(digest, "big") % (len(sentence.tokens) - 2)
-        kept = sentence.tokens[:drop] + sentence.tokens[drop + 1:]
-        return tokenize(" ".join(kept))
+        return drop_token(sentence, drop)
 
 
 def derive_seed(base_seed: int, source_id: str, variant_index: int) -> int:

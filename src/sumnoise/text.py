@@ -1,4 +1,4 @@
-"""Sentence tokenization and the unigram-overlap primitive.
+"""Sentence tokenization and the unigram-overlap primitives.
 
 Everything else in this package (metrics, noise, denoising, analysis) works
 on the ``TokenizedSentence`` and ``SummaryDoc`` values built here, so text
@@ -139,3 +139,27 @@ def unigram_overlap(a: TokenizedSentence, b: TokenizedSentence) -> float:
     if not a.token_types or not b.token_types:
         raise EmptySentenceError("overlap needs non-empty token sets")
     return len(a.token_types & b.token_types) / len(a.token_types)
+
+
+def sentence_similarity(a: TokenizedSentence, b: TokenizedSentence) -> float:
+    """Symmetric closeness: harmonic mean of the two directional unigram overlaps."""
+    forward = unigram_overlap(a, b)
+    backward = unigram_overlap(b, a)
+    if forward + backward == 0.0:
+        return 0.0
+    return 2.0 * forward * backward / (forward + backward)
+
+
+def drop_token(sentence: TokenizedSentence, index: int) -> TokenizedSentence:
+    """The sentence without its ``index``-th token.
+
+    The whitespace unit that produced the token is removed from the surface
+    text, so the rest keeps its case and punctuation.
+    """
+    units = sentence.raw.split()
+    producing = [i for i, unit in enumerate(units) if unit.lower().strip(_EDGE_CHARS)]
+    dropped = producing[index]
+    return TokenizedSentence(
+        raw=" ".join(units[:dropped] + units[dropped + 1:]),
+        tokens=sentence.tokens[:index] + sentence.tokens[index + 1:],
+    )

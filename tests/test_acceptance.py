@@ -217,32 +217,30 @@ def test_criterion_8_cli_subcommands_are_byte_deterministic(tmp_path, fixture_co
     ])
     noised = tmp_path / "noise.one"
 
-    parallel = tmp_path / "noise.parallel"
-    run(["noise", "-i", fixture, "-o", str(parallel), "--type", "mixture",
-         "--seed", "21", "--workers", "3"])
-    assert parallel.read_bytes() == noised.read_bytes(), "worker count changed noise output"
+    lines = fixture_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    shards = []
+    for name, part in (("first", lines[:25]), ("second", lines[25:])):
+        shard, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.noised"
+        shard.write_text("".join(part), encoding="utf-8")
+        run(["noise", "-i", str(shard), "-o", str(out), "--type", "mixture", "--seed", "21"])
+        shards.append(out.read_bytes())
+    assert b"".join(shards) == noised.read_bytes(), "sharding the input changed noise output"
 
     twice("denoise", lambda out: [
-        "denoise", "-i", str(noised), "-o", out, "--method", "overlap", "--seed", "21",
+        "denoise", "-i", str(noised), "-o", out, "--method", "overlap",
     ])
     denoised = tmp_path / "denoise.one"
 
-    parallel_denoise = tmp_path / "denoise.parallel"
-    run(["denoise", "-i", str(noised), "-o", str(parallel_denoise),
-         "--method", "overlap", "--seed", "21", "--workers", "3"])
-    assert parallel_denoise.read_bytes() == denoised.read_bytes(), "worker count changed denoise output"
-
     twice("eval", lambda out: [
-        "eval", "-b", str(noised), "-a", str(denoised), "-r", fixture,
-        "-o", out, "--seed", "21",
+        "eval", "-b", str(noised), "-a", str(denoised), "-r", fixture, "-o", out,
     ])
     twice("analyze", lambda out: [
-        "analyze", "-b", str(noised), "-a", str(denoised), "-o", out, "--seed", "21",
+        "analyze", "-b", str(noised), "-a", str(denoised), "-o", out,
     ])
-    twice("stats", lambda out: ["stats", "-i", str(noised), "-o", out, "--seed", "21"])
+    twice("stats", lambda out: ["stats", "-i", str(noised), "-o", out])
 
     capsys.readouterr()
-    _report(8, "noise/denoise/eval/analyze/stats byte-identical across reruns and 1 vs 3 workers")
+    _report(8, "noise/denoise/eval/analyze/stats byte-identical across reruns; noise shards concatenate to the whole")
 
 
 CNNDM_PATH = os.environ.get("SUMNOISE_CNNDM_JSONL", "")

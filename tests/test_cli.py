@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import sys
+import threading
 
 import pytest
 
@@ -80,13 +83,27 @@ def test_noise_is_deterministic_per_seed(tmp_path, fixture_corpus):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_noise_workers_do_not_change_output(tmp_path, fixture_corpus):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    base = ["noise", "-i", str(fixture_corpus), "--type", "mixture", "--seed", "5"]
-    assert cli_main(base + ["-o", str(serial), "--workers", "1"]) == 0
-    assert cli_main(base + ["-o", str(parallel), "--workers", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_noise_shards_concatenate_to_the_whole_run(tmp_path, fixture_corpus):
+    # Each record's seed depends only on the run seed, its id and the variant,
+    # so noising input shards reproduces the unsharded output.
+    lines = fixture_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    base = ["noise", "--type", "mixture", "--paraphraser", "drop-token", "--seed", "21"]
+    whole = tmp_path / "whole.noised"
+    assert cli_main(base + ["-i", str(fixture_corpus), "-o", str(whole)]) == 0
+    shards = []
+    for name, part in (("first", lines[:20]), ("second", lines[20:])):
+        shard, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.noised"
+        shard.write_text("".join(part), encoding="utf-8")
+        assert cli_main(base + ["-i", str(shard), "-o", str(out)]) == 0
+        shards.append(out.read_bytes())
+    assert b"".join(shards) == whole.read_bytes()
+
+
+def test_noise_rejects_zero_variants(tmp_path, fixture_corpus, capsys):
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--variants", "0"]) == 1
+    assert "variants must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_noise_emits_three_variants_with_provenance(tmp_path):
@@ -224,6 +241,23 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+SUBCOMMAND_OPTIONS = {
+    "noise": {"-h", "-i", "-o", "--type", "--dist", "--seed", "--variants", "--paraphraser", "--raw-text"},
+    "denoise": {"-h", "-i", "-o", "--method", "--threshold", "--command", "--raw-text"},
+    "eval": {"-h", "-b", "-a", "-r", "-o", "--threshold"},
+    "analyze": {"-h", "-b", "-a", "-o", "--tau-match"},
+    "stats": {"-h", "-i", "-o", "--threshold", "--raw-text"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_help_lists_exactly_its_options(subcommand, capsys):
+    assert cli_main([subcommand, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    # argparse usage shows each option once, by its first (short) spelling.
+    assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", usage)) == SUBCOMMAND_OPTIONS[subcommand]
+
+
 def test_missing_input_file_exits_one(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert cli_main(["stats", "-i", str(tmp_path / "nope.jsonl"), "-o", str(out)]) == 1
@@ -246,3 +280,93 @@ def test_raw_text_corpus_is_split_on_read(tmp_path, capsys):
     stats = json.loads(out.read_text(encoding="utf-8"))
     assert stats["mean_sentences"] == 2.0
     capsys.readouterr()
+
+
+SAME_FILE_CASES = {
+    "noise": ["noise", "-i", "{corpus}", "-o", "{corpus}"],
+    "denoise-via-symlink": ["denoise", "-i", "{corpus}", "-o", "{link}"],
+    "denoise-external": [
+        "denoise", "-i", "{corpus}", "-o", "{corpus}", "--method", "external", "--command", "cat",
+    ],
+    "eval-before": ["eval", "-b", "{corpus}", "-a", "{other}", "-o", "{corpus}"],
+    "eval-references": ["eval", "-b", "{other}", "-a", "{other}", "-r", "{corpus}", "-o", "{corpus}"],
+    "analyze-after": ["analyze", "-b", "{other}", "-a", "{corpus}", "-o", "{corpus}"],
+    "stats": ["stats", "-i", "{corpus}", "-o", "{corpus}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_FILE_CASES))
+def test_output_naming_an_input_is_refused(tmp_path, capsys, case):
+    corpus = tiny_corpus(tmp_path)
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(corpus.read_bytes())
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(corpus)
+    before = corpus.read_bytes()
+    argv = [arg.format(corpus=corpus, other=other, link=link) for arg in SAME_FILE_CASES[case]]
+    assert cli_main(argv) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert corpus.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "other.jsonl", "tiny.jsonl"]
+
+
+@pytest.mark.parametrize("method", [["--method", "overlap"], ["--method", "external", "--command", "cat"]])
+def test_mid_stream_error_leaves_no_partial_output(tmp_path, capsys, method):
+    source = tmp_path / "source.jsonl"
+    write_corpus(
+        [CorpusRecord(id=f"r{i}", article=["alpha beta"], summary=["alpha beta", "gamma"]) for i in range(20)],
+        source,
+    )
+    with source.open("a", encoding="utf-8") as handle:
+        handle.write('{"id": "broken"\n')
+    fresh = tmp_path / "fresh.jsonl"
+    assert cli_main(["denoise", "-i", str(source), "-o", str(fresh), *method]) == 1
+    assert "line 21" in capsys.readouterr().err
+    assert not fresh.exists()
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("keep me\n", encoding="utf-8")
+    assert cli_main(["denoise", "-i", str(source), "-o", str(existing), *method]) == 1
+    assert existing.read_text(encoding="utf-8") == "keep me\n"
+    assert sorted(os.listdir(tmp_path)) == ["existing.jsonl", "source.jsonl"]
+
+
+def test_output_gets_the_mode_a_plain_open_gives(tmp_path, capsys):
+    corpus = tiny_corpus(tmp_path)
+    plain = tmp_path / "plain"
+    plain.open("w").close()
+    out = tmp_path / "stats.json"
+    assert cli_main(["stats", "-i", str(corpus), "-o", str(out)]) == 0
+    assert out.stat().st_mode == plain.stat().st_mode
+    capsys.readouterr()
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    # A pipe or device (say /dev/stdout) cannot be replaced by a renamed file.
+    corpus = tiny_corpus(tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    assert cli_main(["stats", "-i", str(corpus), "-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert fifo.is_fifo()
+    assert json.loads(received[0])["records"] == 2
+    capsys.readouterr()
+
+
+def test_denoise_external_reads_the_input_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_read_corpus(path, raw_text=False):
+        opened.append(path)
+        return read_corpus(path, raw_text=raw_text)
+
+    monkeypatch.setattr("sumnoise.cli.read_corpus", counting_read_corpus)
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    assert cli_main([
+        "denoise", "-i", str(corpus), "-o", str(out), "--method", "external", "--command", "cat",
+    ]) == 0
+    assert opened == [str(corpus)]
+    assert [record.id for record in read_corpus(out)] == ["t1", "t2"]

@@ -297,6 +297,14 @@ def test_drop_token_paraphraser_drops_one_interior_token():
     assert result.tokens[-1] == "delta"
 
 
+def test_drop_token_paraphraser_keeps_surface_case_and_punctuation():
+    sentence = tokenize("The Senate, on Monday, voted 52-48 for the bill.")
+    result = DropTokenParaphraser(seed=0)(sentence)
+    assert result.raw == "The on Monday, voted 52-48 for the bill."
+    assert result.tokens == ("the", "on", "monday", "voted", "52-48", "for", "the", "bill")
+    assert tokenize(result.raw) == result
+
+
 def test_drop_token_paraphraser_keeps_short_sentences():
     paraphrase = DropTokenParaphraser(seed=3)
     sentence = tokenize("alpha beta")

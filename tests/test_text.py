@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumnoise.errors import EmptySentenceError
-from sumnoise.text import make_document, split_sentences, tokenize, unigram_overlap
+from sumnoise.text import drop_token, make_document, split_sentences, tokenize, unigram_overlap
 
 words = st.text(alphabet="abcxyz", min_size=1, max_size=6)
 token_lists = st.lists(words, min_size=1, max_size=8)
@@ -42,6 +42,14 @@ def test_tokenize_idempotent_on_token_output(tokens):
     once = tokenize(" ".join(tokens))
     again = tokenize(" ".join(once.tokens))
     assert again.tokens == once.tokens
+
+
+def test_drop_token_removes_the_unit_that_produced_the_token():
+    # The dash is a unit without a token, so token 1 ("beta") is unit 2.
+    result = drop_token(tokenize("Alpha — beta, Gamma delta."), 1)
+    assert result.raw == "Alpha — Gamma delta."
+    assert result.tokens == ("alpha", "gamma", "delta")
+    assert tokenize(result.raw) == result
 
 
 def test_split_two_sentences():
