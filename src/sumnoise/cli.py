@@ -29,19 +29,31 @@ from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
     DEFAULT_VARIANTS,
+    Alignment,
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
     identity_paraphrase,
     make_noisy_record,
 )
-from .text import SummaryDoc
+from .text import SummaryDoc, has_tokens, tokenize
 
 _VARIANT_SUFFIX = re.compile(r"\.v\d+$")
 
 
 class UsageError(Exception):
     """A command line that parses but cannot be run as given; exits 2."""
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type of every threshold flag: a float in [0, 1], NaN refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     denoise.add_argument("-i", "--input", required=True)
     denoise.add_argument("-o", "--output", required=True)
     denoise.add_argument("--method", default="overlap", choices=["overlap", "external"])
-    denoise.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD)
+    denoise.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
     denoise.add_argument(
         "--command", help="external denoiser command (required with --method external)"
     )
@@ -94,20 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
         "variant suffixes like .v0 are ignored)",
     )
     evaluate.add_argument("-o", "--output", help="write the report as JSON here")
-    evaluate.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD)
+    evaluate.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
     evaluate.set_defaults(func=cmd_eval)
 
     analyze = sub.add_parser("analyze", help="classify denoising edit operations")
     analyze.add_argument("-b", "--before", required=True)
     analyze.add_argument("-a", "--after", required=True)
     analyze.add_argument("-o", "--output", help="write the distribution as JSON here")
-    analyze.add_argument("--tau-match", type=float, default=DEFAULT_MATCH_THRESHOLD)
+    analyze.add_argument("--tau-match", type=_unit_interval, default=DEFAULT_MATCH_THRESHOLD)
     analyze.set_defaults(func=cmd_analyze)
 
     stats = sub.add_parser("stats", help="redundancy and length statistics")
     stats.add_argument("-i", "--input", required=True)
     stats.add_argument("-o", "--output", help="write the statistics as JSON here")
-    stats.add_argument("--threshold", type=float, default=DEFAULT_OVERLAP_THRESHOLD)
+    stats.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
     stats.add_argument("--raw-text", action="store_true")
     stats.set_defaults(func=cmd_stats)
 
@@ -199,16 +211,25 @@ def cmd_noise(args: argparse.Namespace) -> int:
     with _output(args) as out:
         for record in read_corpus(args.input, raw_text=args.raw_text):
             try:
-                article = record.article_doc()
+                if noise_type is NoiseType.REPEAT:
+                    # Repeat never reads the article, but a record whose article
+                    # has a sentence without tokens is skipped on every type.
+                    article = None
+                    for raw in record.article:
+                        if not has_tokens(raw):
+                            tokenize(raw)  # raises the error article_doc() would
+                else:
+                    article = record.article_doc()
                 clean = record.summary_doc()
             except SumnoiseError as error:
                 print(f"sumnoise: skipped record {record.id!r}: {error}", file=sys.stderr)
                 skipped += 1
                 continue
+            alignment = None if article is None else Alignment(clean, article)
             for variant in range(args.variants):
                 try:
                     noisy = make_noisy_record(
-                        article, clean, noise_type, dist, args.seed, variant, paraphraser
+                        article, clean, noise_type, dist, args.seed, variant, paraphraser, alignment
                     )
                 except SumnoiseError as error:
                     print(

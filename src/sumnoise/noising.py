@@ -110,6 +110,27 @@ def closest_sentence_index(target: TokenizedSentence, pool: Sequence[TokenizedSe
     return best_index
 
 
+class Alignment:
+    """Each summary sentence's closest article index, computed on first use.
+
+    Replace and extra noise both read it. One instance per record, passed to
+    every variant, aligns each summary sentence at most once per record.
+    """
+
+    def __init__(self, clean: SummaryDoc, article: SummaryDoc) -> None:
+        self._clean = clean
+        self._article = article
+        self._closest: list[int | None] = [None] * len(clean)
+
+    def closest(self, position: int) -> int:
+        """Article index closest to summary sentence ``position``."""
+        index = self._closest[position]
+        if index is None:
+            index = closest_sentence_index(self._clean.sentences[position], self._article.sentences)
+            self._closest[position] = index
+        return index
+
+
 def apply_repeat(
     clean: SummaryDoc, k: int, rng: random.Random
 ) -> tuple[SummaryDoc, list[int]]:
@@ -136,12 +157,17 @@ def apply_repeat(
 
 
 def apply_replace(
-    clean: SummaryDoc, article: SummaryDoc, k: int, rng: random.Random
+    clean: SummaryDoc,
+    article: SummaryDoc,
+    k: int,
+    rng: random.Random,
+    alignment: Alignment | None = None,
 ) -> tuple[SummaryDoc, list[int]]:
     """Replace k distinct summary sentences with their closest article sentence.
 
     Closeness is the symmetric similarity above; ties go to the earliest
     article sentence. Returns the noised document and the replaced positions.
+    An ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """
     if len(article) == 0:
         raise EmptyDocumentError("replace noise needs a non-empty article")
@@ -155,11 +181,12 @@ def apply_replace(
         )
     if k == 0:
         return clean, []
+    if alignment is None:
+        alignment = Alignment(clean, article)
     positions = sorted(rng.sample(range(len(clean)), k))
     sentences = list(clean.sentences)
     for pos in positions:
-        best = closest_sentence_index(clean.sentences[pos], article.sentences)
-        sentences[pos] = article.sentences[best]
+        sentences[pos] = article.sentences[alignment.closest(pos)]
     return SummaryDoc(tuple(sentences), source_id=clean.source_id), positions
 
 
@@ -169,6 +196,7 @@ def apply_extra(
     k: int,
     rng: random.Random,
     paraphraser: Paraphraser | None = None,
+    alignment: Alignment | None = None,
 ) -> tuple[SummaryDoc, list[int]]:
     """Insert k paraphrased article sentences, preserving article order.
 
@@ -176,7 +204,8 @@ def apply_extra(
     Insertions are drawn from the article sentences left unaligned; a sentence
     with article index e goes immediately before the first summary sentence
     whose aligned index exceeds e, or at the end when none does. Returns the
-    noised document and the output positions of the insertions.
+    noised document and the output positions of the insertions. An
+    ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """
     if len(article) == 0:
         raise EmptyDocumentError("extra noise needs a non-empty article")
@@ -188,7 +217,9 @@ def apply_extra(
         return clean, []
     if paraphraser is None:
         paraphraser = identity_paraphrase
-    aligned = [closest_sentence_index(sent, article.sentences) for sent in clean.sentences]
+    if alignment is None:
+        alignment = Alignment(clean, article)
+    aligned = [alignment.closest(i) for i in range(len(clean))]
     pool = sorted(set(range(len(article))) - set(aligned))
     if k > len(pool):
         raise InsufficientArticleError(
@@ -242,19 +273,22 @@ def derive_seed(base_seed: int, source_id: str, variant_index: int) -> int:
 
 
 def make_noisy_record(
-    article: SummaryDoc,
+    article: SummaryDoc | None,
     clean: SummaryDoc,
     noise_type: NoiseType,
     dist: NoiseDistribution,
     base_seed: int,
     variant_index: int,
     paraphraser: Paraphraser | None = None,
+    alignment: Alignment | None = None,
 ) -> NoisyRecord:
     """Produce one noisy variant of a clean summary.
 
     For mixture the concrete noise type is drawn first, then the noise count,
     then the corruption itself, all from the record's derived seed; replaying
-    the same inputs reproduces the record exactly.
+    the same inputs reproduces the record exactly. Repeat noise never reads
+    the article, so it may be None there. Pass the same ``alignment`` of
+    ``clean`` to ``article`` to every variant of a record to align it once.
     """
     seed = derive_seed(base_seed, clean.source_id, variant_index)
     rng = random.Random(seed)
@@ -265,9 +299,9 @@ def make_noisy_record(
     if concrete is NoiseType.REPEAT:
         noisy, indices = apply_repeat(clean, k, rng)
     elif concrete is NoiseType.REPLACE:
-        noisy, indices = apply_replace(clean, article, k, rng)
+        noisy, indices = apply_replace(clean, article, k, rng, alignment)
     else:
-        noisy, indices = apply_extra(clean, article, k, rng, paraphraser)
+        noisy, indices = apply_extra(clean, article, k, rng, paraphraser, alignment)
     return NoisyRecord(
         source_id=clean.source_id,
         noisy=noisy,
@@ -297,10 +331,11 @@ def generate_noisy_dataset(
     if dist is None:
         dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
     for article, clean in pairs:
+        alignment = Alignment(clean, article)
         for variant in range(variants):
             try:
                 yield make_noisy_record(
-                    article, clean, noise_type, dist, base_seed, variant, paraphraser
+                    article, clean, noise_type, dist, base_seed, variant, paraphraser, alignment
                 )
             except SumnoiseError as error:
                 if on_skip is not None:

@@ -22,6 +22,8 @@ _EDGE_CHARS = (
     "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
     "‘’“”–—…«»"
 )
+# A character that survives tokenize: neither whitespace nor an edge character.
+_TOKEN_CHAR = re.compile(f"[^\\s{re.escape(_EDGE_CHARS)}]")
 
 # Words that end with a period without ending a sentence.
 _ABBREVIATIONS = frozenset({
@@ -80,6 +82,11 @@ def tokenize(raw: str) -> TokenizedSentence:
     if not tokens:
         raise EmptySentenceError(f"no tokens in sentence: {raw!r}")
     return TokenizedSentence(raw=raw, tokens=tuple(tokens))
+
+
+def has_tokens(raw: str) -> bool:
+    """Whether ``tokenize(raw)`` yields a token, decided without building any."""
+    return _TOKEN_CHAR.search(raw) is not None
 
 
 def make_document(sentences: Iterable[str], source_id: str = "") -> SummaryDoc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import threading
 
 import pytest
 
+from sumnoise import noising
 from sumnoise.cli import cli_main
 from sumnoise.corpus import CorpusRecord, read_corpus, write_corpus
 
@@ -118,6 +120,78 @@ def test_noise_emits_three_variants_with_provenance(tmp_path):
         assert record.provenance["noise_type"] == "repeat"
         assert record.provenance["source_id"] in ("t1", "t2")
         assert isinstance(record.provenance["seed"], int)
+
+
+# sha256 of `noise` output on data/fixture_corpus.jsonl (default seed 0).
+NOISE_DIGESTS = {
+    "repeat": (["--type", "repeat"], "2a9a2ab96e7de5eb79613edbbb5b990f30aa3ec08783936431c14d4bd457916e"),
+    "replace": (["--type", "replace"], "28705992404d840182d6b52543386e8c491328c66d5267a6d23a02822b3ea812"),
+    "extra": (["--type", "extra"], "41ed60c84b9366308f6b0eb3d7fce8097b88c0f3cc93a6b979991d935f29379a"),
+    "mixture": (["--type", "mixture"], "5bdfa42eb667e441209fad6c149e0c71a448667d1e1a9e41b86ee45c1a572af5"),
+    "extra-drop-token": (
+        ["--type", "extra", "--paraphraser", "drop-token"],
+        "78b637fdaa48634e0e74663a04e872aabd1dc90ab2a0b8dcab6d495d87e0ef06",
+    ),
+    "mixture-dist-variants": (
+        ["--type", "mixture", "--dist", "0.1,0.6,0.3", "--variants", "2"],
+        "40b266164544c46977462dc22c9f020a9eaf691bddb34ab204d958915256225b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_DIGESTS))
+def test_noise_output_matches_recorded_digest(tmp_path, fixture_corpus, capsys, case):
+    flags, digest = NOISE_DIGESTS[case]
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("noise_type", ["repeat", "replace", "extra", "mixture"])
+def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, capsys, noise_type):
+    # Repeat never reads the article, yet skips such a record like the other types.
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus([
+        CorpusRecord(
+            id="ok",
+            article=["alpha beta gamma", "delta epsilon", "zeta eta theta"],
+            summary=["alpha beta", "delta epsilon"],
+        ),
+        CorpusRecord(id="bad", article=["alpha beta", "-- !?", "...", "gamma"], summary=["alpha beta"]),
+    ], corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(corpus), "-o", str(out), "--type", noise_type]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sumnoise: skipped record 'bad': no tokens in sentence: '-- !?'",
+        "sumnoise: wrote 3 records, skipped 1",
+    ]
+    assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
+
+
+@pytest.mark.parametrize("noise_type, dist", [("replace", "0,0,1"), ("extra", "0,1")])
+def test_noise_aligns_each_summary_sentence_once_per_record(
+    tmp_path, monkeypatch, capsys, noise_type, dist
+):
+    calls = []
+    similarity = noising.sentence_similarity
+
+    def counting_similarity(a, b):
+        calls.append((a, b))
+        return similarity(a, b)
+
+    monkeypatch.setattr(noising, "sentence_similarity", counting_similarity)
+    article = ["alpha beta gamma", "delta epsilon", "zeta eta", "theta iota", "kappa lambda mu"]
+    summary = ["alpha beta", "zeta eta", "kappa mu"]
+    corpus = tmp_path / "one.jsonl"
+    write_corpus([CorpusRecord(id="r", article=article, summary=summary)], corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main([
+        "noise", "-i", str(corpus), "-o", str(out),
+        "--type", noise_type, "--dist", dist, "--variants", "3",
+    ]) == 0
+    assert "wrote 3 records, skipped 0" in capsys.readouterr().err
+    assert 0 < len(calls) <= len(summary) * len(article)
 
 
 def test_denoise_external_passthrough(tmp_path):
@@ -256,6 +330,37 @@ def test_subcommand_help_lists_exactly_its_options(subcommand, capsys):
     usage = capsys.readouterr().out.split("\n\n")[0]
     # argparse usage shows each option once, by its first (short) spelling.
     assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", usage)) == SUBCOMMAND_OPTIONS[subcommand]
+
+
+BAD_THRESHOLD_CASES = {
+    "denoise-above-one": ["denoise", "-i", "{missing}", "-o", "{out}", "--threshold", "1.5"],
+    "denoise-external": [
+        "denoise", "-i", "{missing}", "-o", "{out}", "--method", "external", "--command", "cat",
+        "--threshold", "1.5",
+    ],
+    "eval-nan": ["eval", "-b", "{missing}", "-a", "{missing}", "-o", "{out}", "--threshold", "nan"],
+    "analyze-tau-match": ["analyze", "-b", "{missing}", "-a", "{missing}", "-o", "{out}", "--tau-match", "7"],
+    "stats-negative": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "-1"],
+    "stats-not-a-number": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "high"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THRESHOLD_CASES))
+def test_bad_threshold_exits_two_before_reading_input(tmp_path, capsys, case):
+    # The input does not exist: a check that waited for it would exit 1.
+    out = tmp_path / "out"
+    argv = [arg.format(missing=tmp_path / "missing.jsonl", out=out) for arg in BAD_THRESHOLD_CASES[case]]
+    assert cli_main(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1", "0.5"])
+def test_threshold_bounds_are_accepted(tmp_path, capsys, value):
+    corpus = tiny_corpus(tmp_path)
+    assert cli_main(["stats", "-i", str(corpus), "--threshold", value]) == 0
+    assert cli_main(["analyze", "-b", str(corpus), "-a", str(corpus), "--tau-match", value]) == 0
+    capsys.readouterr()
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sumnoise.errors import EmptySentenceError
-from sumnoise.text import drop_token, make_document, split_sentences, tokenize, unigram_overlap
+from sumnoise.text import (
+    _EDGE_CHARS,
+    drop_token,
+    has_tokens,
+    make_document,
+    split_sentences,
+    tokenize,
+    unigram_overlap,
+)
 
 words = st.text(alphabet="abcxyz", min_size=1, max_size=6)
 token_lists = st.lists(words, min_size=1, max_size=8)
@@ -27,6 +37,25 @@ def test_tokenize_duplicates_collapse_only_in_type_set():
 def test_tokenize_rejects_empty_input(raw):
     with pytest.raises(EmptySentenceError):
         tokenize(raw)
+
+
+def test_has_tokens_agrees_with_tokenize():
+    # Every 7th code point plus every edge and whitespace character, alone,
+    # before an edge unit, and doubled after one.
+    code_points = range(sys.maxunicode + 1)
+    chars = {chr(cp) for cp in code_points[::7]} | set(_EDGE_CHARS)
+    chars |= {chr(cp) for cp in code_points if chr(cp).isspace()}
+    mismatches = []
+    for char in sorted(chars):
+        for raw in (char, char + " .", ". " + char + char):
+            try:
+                tokenize(raw)
+                expected = True
+            except EmptySentenceError:
+                expected = False
+            if has_tokens(raw) != expected:
+                mismatches.append(raw)
+    assert mismatches == []
 
 
 def test_tokenize_keeps_interior_punctuation():
