@@ -117,9 +117,12 @@ def _sentence_list(
             raise MalformedRecordError(line_number, f"'{field}': {error}") from error
     if not isinstance(value, list) or not value:
         raise MalformedRecordError(line_number, f"'{field}' must be a non-empty list")
-    for item in value:
-        if not isinstance(item, str) or not item.strip():
-            raise MalformedRecordError(
-                line_number, f"'{field}' contains an empty or non-string sentence"
-            )
+    try:
+        valid = all(map(str.strip, value))  # str.strip refuses anything but a str
+    except TypeError:
+        valid = False
+    if not valid:
+        raise MalformedRecordError(
+            line_number, f"'{field}' contains an empty or non-string sentence"
+        )
     return list(value)

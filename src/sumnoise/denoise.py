@@ -25,10 +25,9 @@ from .errors import (
     EmptySentenceError,
     InvalidThresholdError,
     ProtocolViolationError,
-    SumnoiseError,
 )
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
-from .text import SummaryDoc, TokenizedSentence, tokenize, unigram_overlap
+from .text import SummaryDoc, TokenizedSentence, cached_tokenize, unigram_overlap
 
 SENTENCE_SEPARATOR = "<S>"
 
@@ -72,7 +71,9 @@ def external_denoise(
     line. Sentences containing the separator are rejected on write. A
     missing, extra, or unparseable output line raises ProtocolViolationError
     naming the offending record. Writing happens on a feeder thread so the
-    adapter works with filters that buffer arbitrarily.
+    adapter works with filters that buffer arbitrarily. An error raised while
+    iterating ``docs`` propagates as it is; only a failed write to the command
+    becomes a ProtocolViolationError.
     """
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     proc = subprocess.Popen(
@@ -80,7 +81,7 @@ def external_denoise(
     )
     assert proc.stdin is not None and proc.stdout is not None
     pending: SimpleQueue[tuple[int, str] | None] = SimpleQueue()
-    write_failure: list[Exception] = []
+    feed_failure: list[Exception] = []
 
     def feed() -> None:
         index = 0
@@ -94,11 +95,16 @@ def external_denoise(
                         )
                 pending.put((index, doc.source_id))
                 line = f" {separator} ".join(sent.raw for sent in doc.sentences)
-                proc.stdin.write(line + "\n")
-                proc.stdin.flush()
+                try:
+                    proc.stdin.write(line + "\n")
+                    proc.stdin.flush()
+                except (OSError, ValueError) as error:  # a closed pipe, or text its encoding cannot hold
+                    raise ProtocolViolationError(
+                        f"failed writing to external command: {error}"
+                    ) from error
                 index += 1
         except Exception as error:  # surfaced to the consumer below
-            write_failure.append(error)
+            feed_failure.append(error)
         finally:
             try:
                 proc.stdin.close()
@@ -114,13 +120,15 @@ def external_denoise(
             line = proc.stdout.readline()
             if line == "":
                 feeder.join()
-                _raise_write_failure(write_failure)
+                if feed_failure:
+                    raise feed_failure[0]
                 raise ProtocolViolationError(
                     f"no output line for record {source_id!r} (input line {index})"
                 )
             yield _parse_line(line, source_id, separator)
         feeder.join()
-        _raise_write_failure(write_failure)
+        if feed_failure:
+            raise feed_failure[0]
         extra = proc.stdout.readline()
         if extra != "":
             raise ProtocolViolationError(
@@ -138,15 +146,6 @@ def external_denoise(
             proc.wait()
 
 
-def _raise_write_failure(write_failure: list[Exception]) -> None:
-    if not write_failure:
-        return
-    error = write_failure[0]
-    if isinstance(error, SumnoiseError):
-        raise error
-    raise ProtocolViolationError(f"failed writing to external command: {error}") from error
-
-
 def _parse_line(line: str, source_id: str, separator: str) -> SummaryDoc:
     sentences = []
     for piece in line.rstrip("\n").split(separator):
@@ -154,7 +153,7 @@ def _parse_line(line: str, source_id: str, separator: str) -> SummaryDoc:
         if not piece:
             continue
         try:
-            sentences.append(tokenize(piece))
+            sentences.append(cached_tokenize(piece))
         except EmptySentenceError:
             continue
     if not sentences:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import EmptySentenceError
@@ -84,14 +84,23 @@ def tokenize(raw: str) -> TokenizedSentence:
     return TokenizedSentence(raw=raw, tokens=tuple(tokens))
 
 
+# Strings recur within a few documents of each other: a record's noised
+# variants, a before/after pair, the lines an external denoiser sends back.
+# So a small memo of recent strings catches the reuse without growing peak
+# RSS; equal strings then share one immutable TokenizedSentence. Errors are
+# not cached, so an untokenizable string raises on every call.
+SENTENCE_CACHE_SIZE = 64
+cached_tokenize = lru_cache(maxsize=SENTENCE_CACHE_SIZE)(tokenize)
+
+
 def has_tokens(raw: str) -> bool:
     """Whether ``tokenize(raw)`` yields a token, decided without building any."""
     return _TOKEN_CHAR.search(raw) is not None
 
 
 def make_document(sentences: Iterable[str], source_id: str = "") -> SummaryDoc:
-    """Tokenize pre-split sentence strings into a SummaryDoc."""
-    return SummaryDoc(tuple(tokenize(text) for text in sentences), source_id=source_id)
+    """Tokenize pre-split sentence strings into a SummaryDoc, through ``cached_tokenize``."""
+    return SummaryDoc(tuple(map(cached_tokenize, sentences)), source_id=source_id)
 
 
 def split_sentences(raw_text: str) -> list[TokenizedSentence]:

@@ -148,6 +148,53 @@ def test_noise_output_matches_recorded_digest(tmp_path, fixture_corpus, capsys, 
     capsys.readouterr()
 
 
+# sha256 of the other subcommands' outputs on data/fixture_corpus.jsonl after
+# `noise --type mixture` (default seed 0) and overlap `denoise`: the -o file
+# where one is written, else standard output.
+PIPELINE_DIGESTS = {
+    "denoise-overlap": (
+        ["denoise", "-i", "{noised}", "-o", "{out}"],
+        "cdf52489a50e7c8651538aee45509cdc28ba320002d74bff48d867b2659d774b",
+    ),
+    "denoise-external-cat": (
+        ["denoise", "-i", "{noised}", "-o", "{out}", "--method", "external", "--command", "cat"],
+        "4dbcf5ee0be60122307ac6709fca3131ebd08dd66a58ecece4b0889c37b29376",
+    ),
+    "eval-references-tsv": (
+        ["eval", "-b", "{noised}", "-a", "{denoised}", "-r", "{clean}"],
+        "8bac3b1d333eb0f9f643b6d5b3930639ce3e085e79d8032d316ae9ff84a90765",
+    ),
+    "eval-references-json": (
+        ["eval", "-b", "{noised}", "-a", "{denoised}", "-r", "{clean}", "-o", "{out}"],
+        "8cf8d1fcbd881d4d53fc4f5e7d91f3ad7f0f7ec964db3cd9a178a6bee4b689ca",
+    ),
+    "analyze": (
+        ["analyze", "-b", "{noised}", "-a", "{denoised}"],
+        "b5683b1eee016052eca55943a6a3de4d927f3dd6043041043344d8baf599d322",
+    ),
+    "stats": (
+        ["stats", "-i", "{noised}"],
+        "63c3157bd2d7dad22771959802caaa7f79501f7639959000cb220d29799c58ca",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_DIGESTS))
+def test_pipeline_output_matches_recorded_digest(tmp_path, fixture_corpus, capsys, case):
+    noised = tmp_path / "noised.jsonl"
+    denoised = tmp_path / "denoised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "mixture"]) == 0
+    assert cli_main(["denoise", "-i", str(noised), "-o", str(denoised)]) == 0
+    capsys.readouterr()
+    template, digest = PIPELINE_DIGESTS[case]
+    out = tmp_path / "out"
+    argv = [arg.format(noised=noised, denoised=denoised, clean=fixture_corpus, out=out) for arg in template]
+    assert cli_main(argv) == 0
+    stdout = capsys.readouterr().out
+    output = out.read_bytes() if "-o" in argv else stdout.encode("utf-8")
+    assert hashlib.sha256(output).hexdigest() == digest
+
+
 @pytest.mark.parametrize("noise_type", ["repeat", "replace", "extra", "mixture"])
 def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, capsys, noise_type):
     # Repeat never reads the article, yet skips such a record like the other types.
@@ -206,6 +253,18 @@ def test_denoise_external_passthrough(tmp_path):
         ["alpha beta", "omega psi"],
         ["one two", "one two"],
     ]
+
+
+def test_denoise_missing_input_reports_the_same_error_for_both_methods(tmp_path, capsys):
+    # A read error of the input is not a failed write to the external command.
+    missing = tmp_path / "missing.jsonl"
+    errors = []
+    for method in (["--method", "overlap"], ["--method", "external", "--command", "cat"]):
+        out = tmp_path / "out.jsonl"
+        assert cli_main(["denoise", "-i", str(missing), "-o", str(out), *method]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == f"sumnoise: error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_denoise_external_requires_command(tmp_path):

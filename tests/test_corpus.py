@@ -64,6 +64,12 @@ def test_invalid_json_reports_line_number(tmp_path):
         ({"id": "x", "article": ["a b."], "summary": ["a.", ""]}, "summary"),
         ({"id": "x", "article": ["a b."], "summary": ["a.", 3]}, "summary"),
         ({"id": "x", "article": ["a b."], "summary": ["a."], "provenance": 5}, "provenance"),
+        ({"id": "x", "article": ["a b.", " \t "], "summary": ["a."]}, "'article' contains an empty"),
+        ({"id": "x", "article": ["a b.", None], "summary": ["a."]}, "'article' contains an empty"),
+        ({"id": "x", "article": [["a b."]], "summary": ["a."]}, "'article' contains an empty"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a.", "  "]}, "'noisy' contains an empty"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": [None]}, "'noisy' contains an empty"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a.", ["a."]]}, "'noisy' contains an empty"),
     ],
 )
 def test_malformed_records_are_rejected(tmp_path, payload, reason_part):

@@ -218,3 +218,21 @@ def test_external_blank_output_line_is_unparseable():
     with pytest.raises(ProtocolViolationError) as excinfo:
         list(external_denoise(docs_fixture(), blank))
     assert "d1" in str(excinfo.value)
+
+
+def test_external_error_from_the_documents_propagates_unwrapped():
+    def docs():
+        yield from docs_fixture()
+        raise ValueError("reading the corpus failed")
+
+    with pytest.raises(ValueError, match="reading the corpus failed"):
+        list(external_denoise(docs(), PASSTHROUGH))
+
+
+def test_external_failed_write_is_a_protocol_violation():
+    # The command exits without reading; the documents outgrow any pipe buffer,
+    # so some write to its stdin must fail.
+    line = "word " * 1000
+    docs = (make_document([line], source_id=f"d{i}") for i in range(1000))
+    with pytest.raises(ProtocolViolationError, match="failed writing to external command"):
+        list(external_denoise(docs, [sys.executable, "-c", "pass"]))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sumnoise.errors import EmptySentenceError
 from sumnoise.text import (
     _EDGE_CHARS,
+    SENTENCE_CACHE_SIZE,
+    cached_tokenize,
     drop_token,
     has_tokens,
     make_document,
@@ -160,3 +162,25 @@ def test_make_document_preserves_order():
     assert doc.raw_sentences() == ["First here.", "Second there."]
     assert doc.source_id == "x1"
     assert len(doc) == 2
+
+
+def test_documents_sharing_a_string_share_its_tokenized_sentence():
+    first = make_document(["Shared words here.", "Only in the first."])
+    second = make_document(["Other words.", "Shared words here."])
+    assert second.sentences[1] is first.sentences[0]
+
+
+def test_sentence_cache_stays_bounded_and_agrees_with_tokenize():
+    strings = [f"Sentence number {i}, with {i % 7} extra words." for i in range(3 * SENTENCE_CACHE_SIZE)]
+    # Revisit every string after the cache has evicted it.
+    for raw in strings + strings[::-1]:
+        doc = make_document([raw])
+        assert doc.sentences[0] == tokenize(raw)
+        assert cached_tokenize.cache_info().currsize <= SENTENCE_CACHE_SIZE
+    assert cached_tokenize.cache_info().currsize == SENTENCE_CACHE_SIZE
+
+
+def test_sentence_cache_does_not_remember_errors():
+    for _ in range(2):
+        with pytest.raises(EmptySentenceError, match=r"no tokens in sentence: '\?! --'"):
+            make_document(["Fine words.", "?! --"])
