@@ -13,9 +13,7 @@ from .corpus import CorpusRecord, read_corpus, write_corpus
 from .denoise import SENTENCE_SEPARATOR, DenoiseResult, external_denoise, overlap_denoise
 from .errors import SumnoiseError
 from .metrics import (
-    RedundancyReport,
     RougeScore,
-    redundancy_report,
     repeat_rate,
     repetition_count,
     rouge_l,
@@ -50,7 +48,6 @@ __all__ = [
     "NoiseType",
     "NoisyRecord",
     "OperationDistribution",
-    "RedundancyReport",
     "RougeScore",
     "SENTENCE_SEPARATOR",
     "SummaryDoc",
@@ -69,7 +66,6 @@ __all__ = [
     "make_noisy_record",
     "overlap_denoise",
     "read_corpus",
-    "redundancy_report",
     "repeat_rate",
     "repetition_count",
     "rouge_l",

@@ -1,10 +1,12 @@
 """Classify what a denoiser did to each summary and aggregate corpus-level reports.
 
 A before/after pair is labeled by greedily aligning each after-sentence to
-its most similar unmatched before-sentence. Unmatched before-sentences count
-as deletions; matched pairs below similarity 1.0 count as modifications, and
-so do after-sentences that match nothing (rule-based denoisers never insert,
-so new content is folded into modification).
+its most similar unmatched before-sentence, where similarity is the Dice
+coefficient of the two sentences' token types (``text.sentence_similarity``).
+Unmatched before-sentences count as deletions; matched pairs below similarity
+1.0 count as modifications, and so do after-sentences that match nothing
+(rule-based denoisers never insert, so new content is folded into
+modification).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import AlignmentError, EmptyCorpusError, EmptyDocumentError, ZeroNgramsError
+from .errors import AlignmentError, EmptyCorpusError, EmptyDocumentError
 from .metrics import (
     DEFAULT_OVERLAP_THRESHOLD,
     repeat_rate,
@@ -122,7 +124,8 @@ def classify_edit(
 
     After-sentences are processed in order; each takes the most similar
     unmatched before-sentence (ties to the lowest index) when the similarity
-    reaches ``match_threshold``. A match below similarity 1.0 is a
+    reaches ``match_threshold``; similarities are exact, so a pair scoring
+    exactly the threshold matches. A match below similarity 1.0 is a
     modification, an unmatched after-sentence is a modification, and every
     before-sentence left unmatched is a deletion.
     """
@@ -240,7 +243,7 @@ class MetricAccumulator:
         self.repetitions += repetition_count(doc, self.repetition_threshold)
         if reference is not None:
             self.rouge1 += rouge_n(doc, reference, 1).f1
-            self.rouge2 += _safe_rouge2(doc, reference)
+            self.rouge2 += rouge_n(doc, reference, 2).f1
             self.rouge_l += rouge_l(doc, reference).f1
 
     def row(self, system: str, with_rouge: bool = False) -> SystemReport:
@@ -256,11 +259,3 @@ class MetricAccumulator:
             mean_tokens=self.tokens / n,
             repetition_total=self.repetitions,
         )
-
-
-def _safe_rouge2(doc: SummaryDoc, reference: SummaryDoc) -> float:
-    # Single-token documents have no bigrams on either side; score them 0.
-    try:
-        return rouge_n(doc, reference, 2).f1
-    except ZeroNgramsError:
-        return 0.0

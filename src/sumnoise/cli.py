@@ -302,7 +302,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     references = None
     if args.references:
         reference_docs = {
-            record.id: record.working_doc() for record in read_corpus(args.references)
+            record.id: record.summary_doc() for record in read_corpus(args.references)
         }
         # The two copies advance in lockstep inside eval_report, so tee
         # buffers at most one document.

@@ -6,9 +6,9 @@ every duplicate group survives and deletions never cascade off already
 deleted sentences.
 
 External denoisers (for example trained rewriting models) plug in as a
-subprocess speaking a line protocol: one summary per line on stdin, sentences
-joined by the ``<S>`` separator token, and exactly one output line per input
-line, in order.
+subprocess speaking a line protocol in UTF-8: one summary per line on stdin,
+sentences joined by the ``<S>`` separator token, and exactly one output line
+per input line, in order.
 """
 
 from __future__ import annotations
@@ -59,26 +59,22 @@ def overlap_denoise(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOL
     return DenoiseResult(SummaryDoc(tuple(kept), source_id=doc.source_id), tuple(deleted))
 
 
-def external_denoise(
-    docs: Iterable[SummaryDoc],
-    command: Sequence[str] | str,
-    separator: str = SENTENCE_SEPARATOR,
-) -> Iterator[SummaryDoc]:
+def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -> Iterator[SummaryDoc]:
     """Pipe summaries through an external line-filter command.
 
-    Writes one line per document (sentences joined by the separator token)
-    to the command's stdin and yields one re-parsed document per output
-    line. Sentences containing the separator are rejected on write. A
-    missing, extra, or unparseable output line raises ProtocolViolationError
-    naming the offending record. Writing happens on a feeder thread so the
-    adapter works with filters that buffer arbitrarily. An error raised while
-    iterating ``docs`` propagates as it is; only a failed write to the command
-    becomes a ProtocolViolationError.
+    Writes one UTF-8 line per document (sentences joined by
+    ``SENTENCE_SEPARATOR``) to the command's stdin and yields one re-parsed
+    document per output line. Sentences containing the separator are rejected
+    on write. A missing, extra, unparseable or non-UTF-8 output line raises
+    ProtocolViolationError naming the offending record. Writing happens on a
+    feeder thread so the adapter works with filters that buffer arbitrarily.
+    An error raised while iterating ``docs`` propagates as it is; only a
+    failed write to the command becomes a ProtocolViolationError.
     """
     argv = shlex.split(command) if isinstance(command, str) else list(command)
-    proc = subprocess.Popen(
-        argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
+    # Binary pipes, coded one line at a time, so that a line that is not
+    # UTF-8 is reported against its own record.
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     assert proc.stdin is not None and proc.stdout is not None
     pending: SimpleQueue[tuple[int, str] | None] = SimpleQueue()
     feed_failure: list[Exception] = []
@@ -88,17 +84,17 @@ def external_denoise(
         try:
             for doc in docs:
                 for sent in doc.sentences:
-                    if separator in sent.raw:
+                    if SENTENCE_SEPARATOR in sent.raw:
                         raise ProtocolViolationError(
                             f"record {doc.source_id!r}: sentence contains "
-                            f"separator token {separator!r}"
+                            f"separator token {SENTENCE_SEPARATOR!r}"
                         )
                 pending.put((index, doc.source_id))
-                line = f" {separator} ".join(sent.raw for sent in doc.sentences)
+                line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
                 try:
-                    proc.stdin.write(line + "\n")
+                    proc.stdin.write(line.encode("utf-8") + b"\n")
                     proc.stdin.flush()
-                except (OSError, ValueError) as error:  # a closed pipe, or text its encoding cannot hold
+                except (OSError, ValueError) as error:  # a closed pipe, or text UTF-8 cannot hold
                     raise ProtocolViolationError(
                         f"failed writing to external command: {error}"
                     ) from error
@@ -118,19 +114,19 @@ def external_denoise(
         while (item := pending.get()) is not None:
             index, source_id = item
             line = proc.stdout.readline()
-            if line == "":
+            if line == b"":
                 feeder.join()
                 if feed_failure:
                     raise feed_failure[0]
                 raise ProtocolViolationError(
                     f"no output line for record {source_id!r} (input line {index})"
                 )
-            yield _parse_line(line, source_id, separator)
+            yield _parse_line(line, source_id)
         feeder.join()
         if feed_failure:
             raise feed_failure[0]
         extra = proc.stdout.readline()
-        if extra != "":
+        if extra != b"":
             raise ProtocolViolationError(
                 "external command emitted more lines than it was given"
             )
@@ -146,9 +142,15 @@ def external_denoise(
             proc.wait()
 
 
-def _parse_line(line: str, source_id: str, separator: str) -> SummaryDoc:
+def _parse_line(raw_line: bytes, source_id: str) -> SummaryDoc:
+    try:
+        line = raw_line.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ProtocolViolationError(
+            f"record {source_id!r}: output line is not valid UTF-8: {error}"
+        ) from error
     sentences = []
-    for piece in line.rstrip("\n").split(separator):
+    for piece in line.rstrip("\n").split(SENTENCE_SEPARATOR):
         piece = piece.strip()
         if not piece:
             continue

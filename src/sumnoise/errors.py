@@ -15,16 +15,12 @@ class EmptyDocumentError(SumnoiseError):
     """An operation that needs at least one sentence got an empty document."""
 
 
-class ZeroNgramsError(SumnoiseError):
-    """The requested n-gram size exceeds both documents' token counts."""
-
-
 class InvalidThresholdError(SumnoiseError):
     """Overlap threshold outside [0, 1]."""
 
 
 class InvalidDistributionError(SumnoiseError):
-    """Noise distribution is empty, negative, or does not sum to one."""
+    """Noise distribution is empty, has an entry outside [0, 1] or NaN, or does not sum to one."""
 
 
 class InsufficientArticleError(SumnoiseError):

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyDocumentError, InvalidThresholdError, ZeroNgramsError
+from .errors import EmptyDocumentError, InvalidThresholdError
 from .text import SummaryDoc, unigram_overlap
 
 DEFAULT_OVERLAP_THRESHOLD = 0.8
@@ -32,16 +32,6 @@ class RougeScore:
         precision = match / candidate_total if candidate_total else 0.0
         recall = match / reference_total if reference_total else 0.0
         return cls(precision, recall, f1_score(precision, recall))
-
-
-@dataclass(frozen=True)
-class RedundancyReport:
-    """Per-document redundancy summary: Repeat rate plus size statistics."""
-
-    repeat_rate: float
-    repetition_count: int
-    sentence_count: int
-    token_count: int
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -70,15 +60,16 @@ def repeat_rate(doc: SummaryDoc) -> float:
 
 
 def rouge_n(candidate: SummaryDoc, reference: SummaryDoc, n: int) -> RougeScore:
-    """Clipped n-gram precision/recall/F1 over the flattened token sequences."""
+    """Clipped n-gram precision/recall/F1 over the flattened token sequences.
+
+    A side with fewer than ``n`` tokens has no n-grams; the score is then 0/0/0.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyDocumentError("ROUGE needs non-empty documents")
     cand_total = max(len(candidate.all_tokens) - n + 1, 0)
     ref_total = max(len(reference.all_tokens) - n + 1, 0)
-    if cand_total == 0 and ref_total == 0:
-        raise ZeroNgramsError(f"n={n} exceeds both documents' token counts")
     cand_counts = _ngram_counts(candidate.all_tokens, n)
     ref_counts = _ngram_counts(reference.all_tokens, n)
     match = (cand_counts & ref_counts).total()
@@ -113,16 +104,6 @@ def repetition_count(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHO
 def summary_stats(doc: SummaryDoc) -> tuple[int, int]:
     """Sentence count and total token occurrences."""
     return len(doc), len(doc.all_tokens)
-
-
-def redundancy_report(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> RedundancyReport:
-    sentences, tokens = summary_stats(doc)
-    return RedundancyReport(
-        repeat_rate=repeat_rate(doc),
-        repetition_count=repetition_count(doc, threshold),
-        sentence_count=sentences,
-        token_count=tokens,
-    )
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:

@@ -56,8 +56,8 @@ class NoiseDistribution:
     def __post_init__(self) -> None:
         if len(self.probs) < 1:
             raise InvalidDistributionError("distribution needs at least one entry")
-        if any(p < 0.0 for p in self.probs):
-            raise InvalidDistributionError("probabilities must be non-negative")
+        if not all(0.0 <= p <= 1.0 for p in self.probs):  # false for NaN too
+            raise InvalidDistributionError(f"probabilities must be in [0, 1], got {self.probs!r}")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise InvalidDistributionError(
                 f"probabilities sum to {sum(self.probs)!r}, expected 1.0"
@@ -165,7 +165,7 @@ def apply_replace(
 ) -> tuple[SummaryDoc, list[int]]:
     """Replace k distinct summary sentences with their closest article sentence.
 
-    Closeness is the symmetric similarity above; ties go to the earliest
+    Closeness is ``sentence_similarity`` (Dice); exact ties go to the earliest
     article sentence. Returns the noised document and the replaced positions.
     An ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """

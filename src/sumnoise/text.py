@@ -1,5 +1,9 @@
 """Sentence tokenization and the unigram-overlap primitives.
 
+Two sentences are compared on their sets of distinct tokens (token types):
+``unigram_overlap`` is directional containment, ``sentence_similarity`` the
+symmetric Dice coefficient, exact for equal scores.
+
 Everything else in this package (metrics, noise, denoising, analysis) works
 on the ``TokenizedSentence`` and ``SummaryDoc`` values built here, so text
 normalization lives in exactly one place. It is deliberately simple and
@@ -158,12 +162,17 @@ def unigram_overlap(a: TokenizedSentence, b: TokenizedSentence) -> float:
 
 
 def sentence_similarity(a: TokenizedSentence, b: TokenizedSentence) -> float:
-    """Symmetric closeness: harmonic mean of the two directional unigram overlaps."""
-    forward = unigram_overlap(a, b)
-    backward = unigram_overlap(b, a)
-    if forward + backward == 0.0:
-        return 0.0
-    return 2.0 * forward * backward / (forward + backward)
+    """Symmetric closeness: the Dice coefficient ``2|A∩B| / (|A|+|B|)`` of the token types.
+
+    This is the harmonic mean of the two directional unigram overlaps,
+    computed as one integer division. That division is correctly rounded, so
+    mathematically equal scores are equal floats, and tie-breaks and
+    threshold checks on the score are exact.
+    """
+    a_types, b_types = a.token_types, b.token_types
+    if not a_types or not b_types:
+        raise EmptySentenceError("overlap needs non-empty token sets")
+    return 2 * len(a_types & b_types) / (len(a_types) + len(b_types))
 
 
 def drop_token(sentence: TokenizedSentence, index: int) -> TokenizedSentence:

@@ -108,6 +108,42 @@ def test_noise_rejects_zero_variants(tmp_path, fixture_corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dist", ["nan", "0.5,nan,0.5"])
+def test_noise_rejects_a_nan_distribution(tmp_path, fixture_corpus, capsys, dist):
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--dist", dist]) == 1
+    assert "sumnoise: error: probabilities must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replace_noise_breaks_an_exact_tie_to_the_earliest_article_sentence(tmp_path, capsys):
+    # Both article sentences score exactly 1/3 against the summary: 2*1/(2+4)
+    # and 2*2/(2+10). The harmonic mean of the two overlaps rounded these to
+    # different floats and picked the second.
+    corpus = tmp_path / "tie.jsonl"
+    article = ["t0 x0 x1 x2", "t0 t1 y0 y1 y2 y3 y4 y5 y6 y7"]
+    write_corpus([CorpusRecord(id="tie", article=article, summary=["t0 t1"])], corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main([
+        "noise", "-i", str(corpus), "-o", str(out), "--type", "replace", "--dist", "0,1", "--variants", "1",
+    ]) == 0
+    assert [record.noisy for record in read_corpus(out)] == [[article[0]]]
+    capsys.readouterr()
+
+
+def test_analyze_matches_a_pair_at_exactly_tau_match(tmp_path, capsys):
+    # 11 and 13 token types sharing 6: similarity 2*6/(11+13) is exactly 0.5,
+    # the default --tau-match, so the pair matches and counts as modified.
+    shared = [f"s{i}" for i in range(6)]
+    before_sentence = " ".join(shared + [f"b{i}" for i in range(7)])
+    after_sentence = " ".join(shared + [f"a{i}" for i in range(5)])
+    before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+    write_corpus([CorpusRecord(id="m", article=["x"], summary=[before_sentence])], before)
+    write_corpus([CorpusRecord(id="m", article=["x"], summary=[after_sentence])], after)
+    assert cli_main(["analyze", "-b", str(before), "-a", str(after)]) == 0
+    assert "modified\t1\t1.0000" in capsys.readouterr().out.splitlines()
+
+
 def test_noise_emits_three_variants_with_provenance(tmp_path):
     corpus = tiny_corpus(tmp_path)
     out = tmp_path / "noised.jsonl"
@@ -267,6 +303,18 @@ def test_denoise_missing_input_reports_the_same_error_for_both_methods(tmp_path,
     assert errors[0] == errors[1] == f"sumnoise: error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+def test_denoise_external_output_that_is_not_utf8_exits_one(tmp_path, capsys):
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    code = cli_main([
+        "denoise", "-i", str(corpus), "-o", str(out), "--method", "external", "--command", "printf '\\377\\n'",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sumnoise: error: record 't1': output line is not valid UTF-8")
+    assert not out.exists()
+
+
 def test_denoise_external_requires_command(tmp_path):
     corpus = tiny_corpus(tmp_path)
     out = tmp_path / "denoised.jsonl"
@@ -335,6 +383,20 @@ def test_eval_reference_lookup_strips_variant_suffix(tmp_path, fixture_corpus, c
     cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "repeat", "--seed", "9"])
     assert cli_main(["eval", "-b", str(noised), "-a", str(noised), "-r", str(fixture_corpus)]) == 0
     capsys.readouterr()
+
+
+def test_eval_scores_against_the_reference_summaries_not_their_noisy_text(tmp_path, fixture_corpus, capsys):
+    # The noised corpus carries the clean summaries beside its noisy text.
+    noised = tmp_path / "noised.jsonl"
+    denoised = tmp_path / "denoised.jsonl"
+    cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "repeat", "--seed", "7"])
+    cli_main(["denoise", "-i", str(noised), "-o", str(denoised)])
+    capsys.readouterr()
+    tables = []
+    for references in (fixture_corpus, noised):
+        assert cli_main(["eval", "-b", str(noised), "-a", str(denoised), "-r", str(references)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_eval_missing_reference_is_an_error(tmp_path, capsys):

@@ -220,6 +220,14 @@ def test_external_blank_output_line_is_unparseable():
     assert "d1" in str(excinfo.value)
 
 
+def test_external_lines_end_only_at_a_newline():
+    # A carriage return inside a sentence is text, not a line break. (A Python
+    # filter's text-mode stdin would translate it, so this uses cat.)
+    docs = [make_document(["alpha\rbeta", "gamma"], source_id="cr"), make_document(["delta"], source_id="d")]
+    out = list(external_denoise(docs, ["cat"]))
+    assert [d.raw_sentences() for d in out] == [["alpha\rbeta", "gamma"], ["delta"]]
+
+
 def test_external_error_from_the_documents_propagates_unwrapped():
     def docs():
         yield from docs_fixture()

@@ -7,11 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import clipped_match_count, lcs_full_table, ngram_list, precision_recall_f1
-from sumnoise.errors import EmptyDocumentError, InvalidThresholdError, ZeroNgramsError
+from sumnoise.errors import EmptyDocumentError, InvalidThresholdError
 from sumnoise.metrics import (
     RougeScore,
     _lcs_length,
-    redundancy_report,
     repeat_rate,
     repetition_count,
     rouge_l,
@@ -105,9 +104,9 @@ def test_rouge_n_crosses_sentence_boundaries():
     assert score.recall == pytest.approx(1.0)
 
 
-def test_rouge_n_zero_ngrams_error():
-    with pytest.raises(ZeroNgramsError):
-        rouge_n(doc_of("a"), doc_of("b"), 2)
+def test_rouge_n_with_no_ngrams_on_either_side_scores_zero():
+    score = rouge_n(doc_of("a"), doc_of("a"), 2)
+    assert score == RougeScore(0.0, 0.0, 0.0)
 
 
 def test_rouge_n_one_sided_shortage_scores_zero():
@@ -241,11 +240,3 @@ def test_summary_stats_counts():
 
 def test_summary_stats_empty():
     assert summary_stats(SummaryDoc(())) == (0, 0)
-
-
-def test_redundancy_report_invariants():
-    report = redundancy_report(doc_of("a b c", "a b c", "x y"))
-    assert report.sentence_count == 3
-    assert report.token_count == 8
-    assert report.repetition_count <= report.sentence_count - 1
-    assert 0.0 <= report.repeat_rate <= 100.0

@@ -49,6 +49,13 @@ def test_distribution_rejects_negative_probabilities():
         NoiseDistribution((1.5, -0.5))
 
 
+@pytest.mark.parametrize("text", ["nan", "0.5,nan,0.5"])
+def test_distribution_rejects_nan(text):
+    # NaN fails every comparison, so neither the sign nor the sum check sees it.
+    with pytest.raises(InvalidDistributionError):
+        NoiseDistribution.parse(text)
+
+
 def test_distribution_rejects_empty():
     with pytest.raises(InvalidDistributionError):
         NoiseDistribution(())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,10 +11,12 @@ from sumnoise.errors import EmptySentenceError
 from sumnoise.text import (
     _EDGE_CHARS,
     SENTENCE_CACHE_SIZE,
+    TokenizedSentence,
     cached_tokenize,
     drop_token,
     has_tokens,
     make_document,
+    sentence_similarity,
     split_sentences,
     tokenize,
     unigram_overlap,
@@ -155,6 +158,26 @@ def test_overlap_ignores_token_duplication(a_tokens, b_tokens):
     b = tokenize(" ".join(b_tokens))
     assert unigram_overlap(a, b) == unigram_overlap(a_doubled, b)
     assert unigram_overlap(b, a) == unigram_overlap(b, a_doubled)
+
+
+def test_sentence_similarity_is_the_exact_dice_coefficient():
+    # Every pair of type-set sizes up to 40 and every overlap between them:
+    # the score must be the correctly rounded 2c / (a + b), so equal ratios
+    # are equal floats.
+    def sentence(size: int, shared: int, prefix: str) -> TokenizedSentence:
+        tokens = [f"s{i}" for i in range(shared)] + [f"{prefix}{i}" for i in range(size - shared)]
+        return TokenizedSentence(raw=" ".join(tokens), tokens=tuple(tokens))
+
+    for a in range(1, 41):
+        for b in range(1, 41):
+            for c in range(min(a, b) + 1):
+                score = sentence_similarity(sentence(a, c, "a"), sentence(b, c, "b"))
+                assert score == float(Fraction(2 * c, a + b)), (a, b, c)
+
+
+def test_sentence_similarity_rejects_empty_token_sets():
+    with pytest.raises(EmptySentenceError):
+        sentence_similarity(TokenizedSentence(raw="", tokens=()), tokenize("a"))
 
 
 def test_make_document_preserves_order():
