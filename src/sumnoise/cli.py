@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import stat
 import sys
 from dataclasses import replace
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument(
         "--paraphraser", default="identity", choices=["identity", "drop-token"]
     )
-    noise.add_argument("--raw-text", action="store_true", help="split string fields into sentences")
     noise.set_defaults(func=cmd_noise)
 
     denoise = sub.add_parser("denoise", help="remove redundant sentences")
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     denoise.add_argument(
         "--command", help="external denoiser command (required with --method external)"
     )
-    denoise.add_argument("--raw-text", action="store_true")
     denoise.set_defaults(func=cmd_denoise)
 
     evaluate = sub.add_parser("eval", help="metric table for before/after corpora")
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("-i", "--input", required=True)
     stats.add_argument("-o", "--output", help="write the statistics as JSON here")
     stats.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
-    stats.add_argument("--raw-text", action="store_true")
     stats.set_defaults(func=cmd_stats)
 
     return parser
@@ -209,7 +207,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
     produced = 0
     skipped = 0
     with _output(args) as out:
-        for record in read_corpus(args.input, raw_text=args.raw_text):
+        for record in read_corpus(args.input):
             try:
                 if noise_type is NoiseType.REPEAT:
                     # Repeat never reads the article, but a record whose article
@@ -260,9 +258,14 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    if args.method == "external" and not args.command:
-        raise UsageError("--method external requires --command")
-    records = read_corpus(args.input, raw_text=args.raw_text)
+    if args.method == "external":
+        try:
+            argv = shlex.split(args.command or "")
+        except ValueError as error:
+            raise UsageError(f"--command {args.command!r}: {error}") from None
+        if not argv:
+            raise UsageError("--method external requires --command")
+    records = read_corpus(args.input)
     with _output(args) as out:
         if args.method == "overlap":
             for record in records:
@@ -282,7 +285,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                 pending.put(record)
                 yield record.working_doc()
 
-        for doc in external_denoise(docs(), args.command):
+        for doc in external_denoise(docs(), argv):
             out.write(_denoised_line(pending.get(), doc, {"method": "external"}) + "\n")
     return 0
 
@@ -357,7 +360,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     accumulator = MetricAccumulator(args.threshold)
-    for record in read_corpus(args.input, raw_text=args.raw_text):
+    for record in read_corpus(args.input):
         accumulator.add(record.working_doc())
     if accumulator.records == 0:
         raise EmptyCorpusError(f"no records in {args.input}")

@@ -1,20 +1,23 @@
 """JSON-lines corpus records and streaming readers/writers.
 
 One record per line: ``{"id": ..., "article": [...], "summary": [...]}`` with
-optional ``noisy`` and ``provenance`` fields. Sentence lists are pre-split;
-with ``raw_text`` enabled, string-valued fields are split into sentences on
-read instead.
+optional ``noisy`` and ``provenance`` fields. A list value is taken as
+pre-split sentences; a string value is running text, split into sentences on
+read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
 from .text import SummaryDoc, make_document, split_sentences
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass
@@ -37,23 +40,37 @@ class CorpusRecord:
         return make_document(sentences, source_id=self.id)
 
 
-def read_corpus(path: str | Path, raw_text: bool = False) -> Iterator[CorpusRecord]:
+def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
     """Stream records from a JSON-lines corpus file, validating as it goes.
 
-    Malformed lines raise MalformedRecordError with the line number; a
+    Malformed lines (including bytes that are not UTF-8 and text that is not
+    valid Unicode) raise MalformedRecordError with the line number; a
     repeated id raises DuplicateIdError. Iteration holds one record at a time
     (plus the set of seen ids).
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
+    # Binary lines, decoded one by one, so a decode error names its own line.
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise MalformedRecordError(line_number, f"invalid UTF-8: {error}") from error
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as error:
                 raise MalformedRecordError(line_number, f"invalid JSON: {error}") from error
-            record = _validate_record(payload, line_number, raw_text)
+            record = _validate_record(payload, line_number)
+            # Strict UTF-8 holds no surrogates, so only a \uD800-\uDFFF escape
+            # can leave a lone one; memchr for a backslash skips most lines.
+            if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                try:
+                    record_to_line(record).encode("utf-8")
+                except UnicodeEncodeError as error:
+                    surrogate = error.object[error.start]
+                    raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
             if record.id in seen:
                 raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
             seen.add(record.id)
@@ -80,15 +97,15 @@ def record_to_line(record: CorpusRecord) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def _validate_record(payload: Any, line_number: int, raw_text: bool) -> CorpusRecord:
+def _validate_record(payload: Any, line_number: int) -> CorpusRecord:
     if not isinstance(payload, dict):
         raise MalformedRecordError(line_number, "record is not an object")
     record_id = payload.get("id")
     if not isinstance(record_id, str) or not record_id:
         raise MalformedRecordError(line_number, "missing or empty 'id'")
-    article = _sentence_list(payload, "article", line_number, raw_text, required=True)
-    summary = _sentence_list(payload, "summary", line_number, raw_text, required=True)
-    noisy = _sentence_list(payload, "noisy", line_number, raw_text, required=False)
+    article = _sentence_list(payload, "article", line_number, required=True)
+    summary = _sentence_list(payload, "summary", line_number, required=True)
+    noisy = _sentence_list(payload, "noisy", line_number, required=False)
     provenance = payload.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise MalformedRecordError(line_number, "'provenance' must be an object")
@@ -98,7 +115,7 @@ def _validate_record(payload: Any, line_number: int, raw_text: bool) -> CorpusRe
 
 
 def _sentence_list(
-    payload: dict, field: str, line_number: int, raw_text: bool, required: bool
+    payload: dict, field: str, line_number: int, required: bool
 ) -> list[str] | None:
     value = payload.get(field)
     if value is None:
@@ -106,11 +123,6 @@ def _sentence_list(
             raise MalformedRecordError(line_number, f"missing '{field}'")
         return None
     if isinstance(value, str):
-        if not raw_text:
-            raise MalformedRecordError(
-                line_number,
-                f"'{field}' is a string; pass raw_text to split it into sentences",
-            )
         try:
             return [sent.raw for sent in split_sentences(value)]
         except EmptySentenceError as error:

@@ -315,10 +315,24 @@ def test_denoise_external_output_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_denoise_external_requires_command(tmp_path):
-    corpus = tiny_corpus(tmp_path)
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(None, id="missing"),
+        pytest.param("", id="empty"),
+        pytest.param("   ", id="blank"),
+        pytest.param("'x", id="unclosed-quote"),
+    ],
+)
+def test_denoise_external_requires_command(tmp_path, capsys, command):
+    # The input does not exist: a check that waited for it would exit 1.
     out = tmp_path / "denoised.jsonl"
-    assert cli_main(["denoise", "-i", str(corpus), "-o", str(out), "--method", "external"]) == 2
+    argv = ["denoise", "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--method", "external"]
+    if command is not None:
+        argv += ["--command", command]
+    assert cli_main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_denoise_external_protocol_violation_exits_one(tmp_path, capsys):
@@ -437,11 +451,11 @@ def test_help_exits_zero(capsys):
 
 
 SUBCOMMAND_OPTIONS = {
-    "noise": {"-h", "-i", "-o", "--type", "--dist", "--seed", "--variants", "--paraphraser", "--raw-text"},
-    "denoise": {"-h", "-i", "-o", "--method", "--threshold", "--command", "--raw-text"},
+    "noise": {"-h", "-i", "-o", "--type", "--dist", "--seed", "--variants", "--paraphraser"},
+    "denoise": {"-h", "-i", "-o", "--method", "--threshold", "--command"},
     "eval": {"-h", "-b", "-a", "-r", "-o", "--threshold"},
     "analyze": {"-h", "-b", "-a", "-o", "--tau-match"},
-    "stats": {"-h", "-i", "-o", "--threshold", "--raw-text"},
+    "stats": {"-h", "-i", "-o", "--threshold"},
 }
 
 
@@ -502,10 +516,38 @@ def test_raw_text_corpus_is_split_on_read(tmp_path, capsys):
     payload = {"id": "x", "article": "One two three. Four five.", "summary": "One two. Three four."}
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
     out = tmp_path / "stats.json"
-    assert cli_main(["stats", "-i", str(path), "--raw-text", "-o", str(out)]) == 0
+    assert cli_main(["stats", "-i", str(path), "-o", str(out)]) == 0
     stats = json.loads(out.read_text(encoding="utf-8"))
     assert stats["mean_sentences"] == 2.0
+    noised = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(path), "-o", str(noised), "--type", "repeat"]) == 0
+    assert next(read_corpus(noised)).article == ["One two three.", "Four five."]
+    assert cli_main(["denoise", "-i", str(path), "-o", str(tmp_path / "denoised.jsonl")]) == 0
+    # Running text as the system output, scored against itself as reference.
+    assert cli_main(["eval", "-b", str(path), "-a", str(path), "-r", str(path)]) == 0
+    assert cli_main(["analyze", "-b", str(path), "-a", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_corpus_that_is_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\n")
+    assert cli_main(["stats", "-i", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sumnoise: error: line 1:")
+    assert "Traceback" not in err
+
+
+def test_noise_rejects_a_lone_surrogate_before_writing(tmp_path, capsys):
+    corpus = tmp_path / "surrogate.jsonl"
+    payload = {"id": "x", "article": ["a b.", "c d."], "summary": ["\ud800 y"]}
+    corpus.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(corpus), "-o", str(out), "--type", "repeat"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sumnoise: error: line 1:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 SAME_FILE_CASES = {
@@ -584,9 +626,9 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
 def test_denoise_external_reads_the_input_once(tmp_path, monkeypatch):
     opened = []
 
-    def counting_read_corpus(path, raw_text=False):
+    def counting_read_corpus(path):
         opened.append(path)
-        return read_corpus(path, raw_text=raw_text)
+        return read_corpus(path)
 
     monkeypatch.setattr("sumnoise.cli.read_corpus", counting_read_corpus)
     corpus = tiny_corpus(tmp_path)

@@ -70,6 +70,13 @@ def test_invalid_json_reports_line_number(tmp_path):
         ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a.", "  "]}, "'noisy' contains an empty"),
         ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": [None]}, "'noisy' contains an empty"),
         ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a.", ["a."]]}, "'noisy' contains an empty"),
+        ({"id": "x\ud800", "article": ["a b."], "summary": ["a."]}, "lone surrogate"),
+        ({"id": "x", "article": ["a b.", "\udfff c"], "summary": ["a."]}, "lone surrogate"),
+        ({"id": "x", "article": ["a b."], "summary": ["\ud800 y"]}, "lone surrogate"),
+        ({"id": "x", "article": ["a b."], "summary": "One. \ud83d two."}, "lone surrogate"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a \ude00"]}, "lone surrogate"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "provenance": {"k": ["\ud800"]}}, "lone surrogate"),
+        ({"id": "x", "article": ["a b."], "summary": ["a."], "provenance": {"\ud800": 1}}, "lone surrogate"),
     ],
 )
 def test_malformed_records_are_rejected(tmp_path, payload, reason_part):
@@ -88,15 +95,28 @@ def test_duplicate_ids_are_rejected(tmp_path):
         list(read_corpus(path))
 
 
-def test_string_fields_require_raw_text_mode(tmp_path):
+def test_string_fields_are_split_on_read(tmp_path):
     path = tmp_path / "corpus.jsonl"
     payload = {"id": "x", "article": "One two. Three four.", "summary": "One two."}
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedRecordError):
-        list(read_corpus(path))
-    record = next(iter(read_corpus(path, raw_text=True)))
+    record = next(iter(read_corpus(path)))
     assert record.article == ["One two.", "Three four."]
     assert record.summary == ["One two."]
+
+
+def test_bytes_that_are_not_utf8_report_their_line_number(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(record_to_line(sample_records()[0]).encode("utf-8") + b"\n\xff\xfe\n")
+    with pytest.raises(MalformedRecordError) as excinfo:
+        list(read_corpus(path))
+    assert excinfo.value.line_number == 2
+
+
+def test_escaped_surrogate_pairs_and_crlf_line_ends_are_read(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    payload = {"id": "x", "article": ["a \U0001F600 b."], "summary": ["a \\ud800."]}
+    path.write_bytes(json.dumps(payload).encode("ascii") + b"\r\n\r\n")
+    assert [(r.article, r.summary) for r in read_corpus(path)] == [(["a \U0001F600 b."], ["a \\ud800."])]
 
 
 def test_working_doc_prefers_noisy():
