@@ -11,9 +11,8 @@ modification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AlignmentError, EmptyCorpusError, EmptyDocumentError
 from .metrics import (
@@ -36,15 +35,13 @@ class EditKind(Enum):
     DELETED_AND_MODIFIED = "deleted_and_modified"
 
 
-@dataclass(frozen=True)
-class EditClassification:
+class EditClassification(NamedTuple):
     kind: EditKind
     deleted_count: int
     modified_count: int
 
 
-@dataclass(frozen=True)
-class OperationDistribution:
+class OperationDistribution(NamedTuple):
     """Fractions of edit kinds over a corpus; fractions sum to one."""
 
     fractions: dict[EditKind, float]
@@ -52,8 +49,7 @@ class OperationDistribution:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(NamedTuple):
     """One row of an evaluation table. Score columns are scaled to [0, 100]."""
 
     system: str
@@ -67,8 +63,7 @@ class SystemReport:
     repetition_total: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     rows: tuple[SystemReport, ...]
 
     def to_dict(self) -> dict:

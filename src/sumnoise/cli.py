@@ -15,17 +15,14 @@ import itertools
 import json
 import os
 import re
-import shlex
 import stat
 import sys
-from dataclasses import replace
-from queue import SimpleQueue
 from typing import IO, Iterable, Iterator, Sequence
 
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusRecord, read_corpus, record_to_line
-from .denoise import external_denoise, overlap_denoise
-from .errors import AlignmentError, EmptyCorpusError, SumnoiseError
+from .denoise import command_argv, external_denoise, overlap_denoise
+from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, SumnoiseError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
@@ -236,9 +233,10 @@ def cmd_noise(args: argparse.Namespace) -> int:
                     )
                     skipped += 1
                     continue
-                line = record_to_line(replace(
-                    record,
-                    id=f"{record.id}.v{variant}",
+                line = record_to_line(CorpusRecord(
+                    f"{record.id}.v{variant}",
+                    record.article,
+                    record.summary,
                     noisy=[sent.raw for sent in noisy.noisy.sentences],
                     provenance={
                         "source_id": noisy.source_id,
@@ -259,12 +257,12 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 def cmd_denoise(args: argparse.Namespace) -> int:
     if args.method == "external":
-        try:
-            argv = shlex.split(args.command or "")
-        except ValueError as error:
-            raise UsageError(f"--command {args.command!r}: {error}") from None
-        if not argv:
+        if args.command is None:
             raise UsageError("--method external requires --command")
+        try:
+            argv = command_argv(args.command)
+        except InvalidCommandError as error:
+            raise UsageError(f"--command: {error}") from None
     records = read_corpus(args.input)
     with _output(args) as out:
         if args.method == "overlap":
@@ -278,6 +276,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             return 0
         # The adapter's feeder thread reads the corpus; each record waits
         # here until the command's line for it comes back.
+        from queue import SimpleQueue  # only this path needs it; see external_denoise
+
         pending: SimpleQueue[CorpusRecord] = SimpleQueue()
 
         def docs() -> Iterator[SummaryDoc]:
@@ -328,7 +328,7 @@ def _resolve_references(
             doc = reference_docs.get(_VARIANT_SUFFIX.sub("", source.source_id))
         if doc is None:
             raise AlignmentError(f"no reference for record {source.source_id!r}")
-        yield replace(doc, source_id=source.source_id)
+        yield SummaryDoc(doc.sentences, source_id=source.source_id)
 
 
 # --- analyze -------------------------------------------------------------

@@ -10,23 +10,34 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
-from .text import SummaryDoc, make_document, split_sentences
+from .text import SummaryDoc, Value, make_document, split_sentences
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-@dataclass
-class CorpusRecord:
-    id: str
-    article: list[str]
-    summary: list[str]
-    noisy: list[str] | None = None
-    provenance: dict[str, Any] | None = None
+class CorpusRecord(Value):
+    """One corpus line. Mutable: denoise rewrites ``noisy`` and ``provenance`` in place."""
+
+    __slots__ = _fields = ("id", "article", "summary", "noisy", "provenance")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(
+        self,
+        id: str,
+        article: list[str],
+        summary: list[str],
+        noisy: list[str] | None = None,
+        provenance: dict[str, Any] | None = None,
+    ) -> None:
+        self.id = id
+        self.article = article
+        self.summary = summary
+        self.noisy = noisy
+        self.provenance = provenance
 
     def article_doc(self) -> SummaryDoc:
         return make_document(self.article, source_id=self.id)

@@ -13,16 +13,12 @@ per input line, in order.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import threading
-from dataclasses import dataclass
-from queue import SimpleQueue
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyDocumentError,
     EmptySentenceError,
+    InvalidCommandError,
     InvalidThresholdError,
     ProtocolViolationError,
 )
@@ -32,8 +28,7 @@ from .text import SummaryDoc, TokenizedSentence, cached_tokenize, unigram_overla
 SENTENCE_SEPARATOR = "<S>"
 
 
-@dataclass(frozen=True)
-class DenoiseResult:
+class DenoiseResult(NamedTuple):
     output: SummaryDoc
     deleted_indices: tuple[int, ...]
 
@@ -59,6 +54,26 @@ def overlap_denoise(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOL
     return DenoiseResult(SummaryDoc(tuple(kept), source_id=doc.source_id), tuple(deleted))
 
 
+def command_argv(command: Sequence[str] | str) -> list[str]:
+    """The argv of an external denoiser: a string is split shell-style, a sequence copied.
+
+    Raises InvalidCommandError for a string that cannot be split and for an
+    empty argv, so no process is started for either.
+    """
+    if isinstance(command, str):
+        import shlex  # deferred, like the imports of external_denoise
+
+        try:
+            argv = shlex.split(command)
+        except ValueError as error:
+            raise InvalidCommandError(f"cannot split command {command!r}: {error}") from None
+    else:
+        argv = list(command)
+    if not argv:
+        raise InvalidCommandError(f"empty command {command!r}")
+    return argv
+
+
 def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -> Iterator[SummaryDoc]:
     """Pipe summaries through an external line-filter command.
 
@@ -69,9 +84,17 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     ProtocolViolationError naming the offending record. Writing happens on a
     feeder thread so the adapter works with filters that buffer arbitrarily.
     An error raised while iterating ``docs`` propagates as it is; only a
-    failed write to the command becomes a ProtocolViolationError.
+    failed write to the command becomes a ProtocolViolationError. An empty or
+    unsplittable command raises InvalidCommandError (see ``command_argv``) on
+    the first ``next``, before any process starts.
     """
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    # Imported here, not at the top: only this path runs a process, and every
+    # other subcommand would pay for them at start-up.
+    import subprocess
+    import threading
+    from queue import SimpleQueue
+
+    argv = command_argv(command)
     # Binary pipes, coded one line at a time, so that a line that is not
     # UTF-8 is reported against its own record.
     proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)

@@ -31,6 +31,10 @@ class InsufficientSummaryError(SumnoiseError):
     """More summary positions requested than the summary has."""
 
 
+class InvalidCommandError(SumnoiseError):
+    """An external denoiser command that is empty or cannot be split into an argv."""
+
+
 class ProtocolViolationError(SumnoiseError):
     """An external denoiser broke the one-line-in, one-line-out contract."""
 

@@ -12,8 +12,7 @@ agreement with a quadratic-table oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyDocumentError, InvalidThresholdError
 from .text import SummaryDoc, unigram_overlap
@@ -21,8 +20,7 @@ from .text import SummaryDoc, unigram_overlap
 DEFAULT_OVERLAP_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float

@@ -16,11 +16,9 @@ corpus noised in shards concatenates to the same output.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptyDocumentError,
@@ -29,7 +27,7 @@ from .errors import (
     InvalidDistributionError,
     SumnoiseError,
 )
-from .text import SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
+from .text import FrozenValue, SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
 
 Paraphraser = Callable[[TokenizedSentence], TokenizedSentence]
 
@@ -47,21 +45,21 @@ class NoiseType(Enum):
 CONCRETE_NOISE_TYPES = (NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA)
 
 
-@dataclass(frozen=True)
-class NoiseDistribution:
+class NoiseDistribution(FrozenValue):
     """Probabilities ``probs[k]`` of corrupting exactly k sentences in a summary."""
 
-    probs: tuple[float, ...]
+    __slots__ = _fields = ("probs",)
 
-    def __post_init__(self) -> None:
-        if len(self.probs) < 1:
+    def __init__(self, probs: tuple[float, ...]) -> None:
+        if len(probs) < 1:
             raise InvalidDistributionError("distribution needs at least one entry")
-        if not all(0.0 <= p <= 1.0 for p in self.probs):  # false for NaN too
-            raise InvalidDistributionError(f"probabilities must be in [0, 1], got {self.probs!r}")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if not all(0.0 <= p <= 1.0 for p in probs):  # false for NaN too
+            raise InvalidDistributionError(f"probabilities must be in [0, 1], got {probs!r}")
+        if abs(sum(probs) - 1.0) > 1e-9:
             raise InvalidDistributionError(
-                f"probabilities sum to {sum(self.probs)!r}, expected 1.0"
+                f"probabilities sum to {sum(probs)!r}, expected 1.0"
             )
+        object.__setattr__(self, "probs", probs)
 
     @property
     def max_count(self) -> int:
@@ -76,8 +74,7 @@ class NoiseDistribution:
         return cls(probs)
 
 
-@dataclass(frozen=True)
-class NoisyRecord:
+class NoisyRecord(NamedTuple):
     """One noised summary plus everything needed to reproduce it."""
 
     source_id: str
@@ -260,6 +257,8 @@ class DropTokenParaphraser:
     def __call__(self, sentence: TokenizedSentence) -> TokenizedSentence:
         if len(sentence.tokens) < 3:
             return sentence
+        import hashlib  # deferred, as in derive_seed
+
         payload = f"{self.seed}:{' '.join(sentence.tokens)}".encode("utf-8")
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         drop = 1 + int.from_bytes(digest, "big") % (len(sentence.tokens) - 2)
@@ -268,6 +267,8 @@ class DropTokenParaphraser:
 
 def derive_seed(base_seed: int, source_id: str, variant_index: int) -> int:
     """Mix the run seed, record id, and variant into an independent 64-bit seed."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only noise needs
+
     payload = f"{base_seed}:{variant_index}:{source_id}".encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 

@@ -14,8 +14,7 @@ ends of each unit. No stemming, no stopword removal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import EmptySentenceError
@@ -39,33 +38,93 @@ _ABBREVIATIONS = frozenset({
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])[\"')\]]*\s+")
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
+class Value:
+    """Base of the slotted record classes.
+
+    A subclass lists its constructor fields, in order, in ``_fields`` and its
+    storage in ``__slots__``. Objects compare, hash, print and pickle as the
+    tuple of their fields. (``dataclasses`` would generate the same, but
+    importing it loads ``inspect``, ``ast`` and ``dis``, and every subcommand
+    would pay for them at start-up.)
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class FrozenValue(Value):
+    """A Value whose ``__init__`` sets each slot once, through ``object.__setattr__``.
+
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+class TokenizedSentence(FrozenValue):
     """One sentence: the original surface text plus its lowercase unigram tokens."""
 
-    raw: str
-    tokens: tuple[str, ...]
+    __slots__ = ("raw", "tokens", "_token_types")
+    _fields = ("raw", "tokens")
 
-    @cached_property
+    def __init__(self, raw: str, tokens: tuple[str, ...]) -> None:
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "_token_types", None)
+
+    @property
     def token_types(self) -> frozenset[str]:
-        """The distinct tokens; duplicates inside the sentence collapse here."""
-        return frozenset(self.tokens)
+        """The distinct tokens; duplicates inside the sentence collapse here. Built on first use."""
+        if self._token_types is None:
+            object.__setattr__(self, "_token_types", frozenset(self.tokens))
+        return self._token_types
 
 
-@dataclass(frozen=True)
-class SummaryDoc:
+class SummaryDoc(FrozenValue):
     """An ordered sequence of sentences with an opaque record identifier."""
 
-    sentences: tuple[TokenizedSentence, ...]
-    source_id: str = ""
+    __slots__ = ("sentences", "source_id", "_all_tokens")
+    _fields = ("sentences", "source_id")
+
+    def __init__(self, sentences: tuple[TokenizedSentence, ...], source_id: str = "") -> None:
+        object.__setattr__(self, "sentences", sentences)
+        object.__setattr__(self, "source_id", source_id)
+        object.__setattr__(self, "_all_tokens", None)
 
     def __len__(self) -> int:
         return len(self.sentences)
 
-    @cached_property
+    @property
     def all_tokens(self) -> tuple[str, ...]:
-        """Every token of the document, flattened in sentence order."""
-        return tuple(token for sent in self.sentences for token in sent.tokens)
+        """Every token of the document, flattened in sentence order; built on first use."""
+        if self._all_tokens is None:
+            tokens = tuple(token for sent in self.sentences for token in sent.tokens)
+            object.__setattr__(self, "_all_tokens", tokens)
+        return self._all_tokens
 
     def raw_sentences(self) -> list[str]:
         return [sent.raw for sent in self.sentences]

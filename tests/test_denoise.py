@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import subprocess
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from sumnoise.errors import (
     EmptyDocumentError,
     InvalidThresholdError,
     ProtocolViolationError,
+    SumnoiseError,
 )
 from sumnoise.metrics import repeat_rate, repetition_count
 from sumnoise.noising import NoiseDistribution, NoiseType, apply_repeat, generate_noisy_dataset
@@ -244,3 +246,22 @@ def test_external_failed_write_is_a_protocol_violation():
     docs = (make_document([line], source_id=f"d{i}") for i in range(1000))
     with pytest.raises(ProtocolViolationError, match="failed writing to external command"):
         list(external_denoise(docs, [sys.executable, "-c", "pass"]))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param("", id="empty-string"),
+        pytest.param("   ", id="blank-string"),
+        pytest.param([], id="empty-argv"),
+        pytest.param("'x", id="unclosed-quote"),
+    ],
+)
+def test_external_command_without_an_argv_raises_before_any_process_starts(monkeypatch, command):
+    # An empty argv must not reach Popen, which fails on it with a bare IndexError.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    with pytest.raises(SumnoiseError, match="command"):
+        list(external_denoise(docs_fixture(), command))

@@ -1,0 +1,36 @@
+"""Start-up cost: what ``import sumnoise.cli`` loads, checked in a fresh interpreter."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Loaded only on the paths that need them: the external denoiser (subprocess,
+# shlex, queue), noise seeding (hashlib, which loads OpenSSL), and nothing at
+# all (dataclasses, which brings inspect, ast, dis and tokenize).
+DEFERRED = {"dataclasses", "inspect", "subprocess", "hashlib", "shlex", "queue"}
+
+
+def modules_added_by(statement: str) -> set[str]:
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "bare = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    # -I: no PYTHON* variables and no user site, so only the statement loads
+    # modules; -B: write no bytecode into the source tree.
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", probe], capture_output=True, text=True, check=True, timeout=60
+    )
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_loads_no_path_specific_module():
+    added = modules_added_by("import sumnoise.cli")
+    assert "sumnoise.cli" in added
+    assert added & DEFERRED == set()
