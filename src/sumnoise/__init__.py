@@ -28,7 +28,6 @@ from .noising import (
     apply_extra,
     apply_repeat,
     apply_replace,
-    generate_noisy_dataset,
     identity_paraphrase,
     make_noisy_record,
     sample_noise_count,
@@ -60,7 +59,6 @@ __all__ = [
     "classify_edit",
     "eval_report",
     "external_denoise",
-    "generate_noisy_dataset",
     "identity_paraphrase",
     "make_document",
     "make_noisy_record",

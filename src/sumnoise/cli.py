@@ -26,6 +26,7 @@ from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, Sumno
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
+    DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
     Alignment,
     DropTokenParaphraser,
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     noise.add_argument(
         "--dist",
-        default="0.15,0.85",
+        default=",".join(map(str, DEFAULT_NOISE_PROBS)),
         help="comma-separated probabilities of corrupting 0,1,... sentences",
     )
     noise.add_argument("--seed", type=int, default=0)
@@ -156,20 +157,24 @@ def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
         if source and _same_file(path, source):
             raise UsageError(f"output {path!r} is the --{flag} file; refusing to overwrite it")
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
         return
     target = os.path.realpath(path)  # through symlinks, as open() writes
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    # 0o666 less the umask: the mode a plain open() gives a new file.
+    # 0o666 less the umask: the mode a plain open() gives a new file. An
+    # existing target keeps its own mode, as it would under open(); the umask
+    # masks os.open's mode, so that takes an fchmod.
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             yield handle
         os.replace(temp, target)
     finally:
@@ -237,7 +242,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
                     f"{record.id}.v{variant}",
                     record.article,
                     record.summary,
-                    noisy=[sent.raw for sent in noisy.noisy.sentences],
+                    noisy=noisy.noisy.raw_sentences(),
                     provenance={
                         "source_id": noisy.source_id,
                         "noise_type": noisy.noise_type.value,
@@ -291,7 +296,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
-    record.noisy = [sent.raw for sent in doc.sentences]
+    record.noisy = doc.raw_sentences()
     record.provenance = {**(record.provenance or {}), "denoise": details}
     return record_to_line(record)
 

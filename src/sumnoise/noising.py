@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     EmptyDocumentError,
     InsufficientArticleError,
     InsufficientSummaryError,
     InvalidDistributionError,
-    SumnoiseError,
 )
 from .text import FrozenValue, SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
 
@@ -313,31 +312,3 @@ def make_noisy_record(
         seed=seed,
     )
 
-
-def generate_noisy_dataset(
-    pairs: Iterable[tuple[SummaryDoc, SummaryDoc]],
-    noise_type: NoiseType,
-    dist: NoiseDistribution | None = None,
-    base_seed: int = 0,
-    paraphraser: Paraphraser | None = None,
-    variants: int = DEFAULT_VARIANTS,
-    on_skip: Callable[[str, int, SumnoiseError], None] | None = None,
-) -> Iterator[NoisyRecord]:
-    """Yield ``variants`` noisy records for every (article, clean summary) pair.
-
-    Per-record failures (for example an article too short for insertion
-    noise) are skipped and reported through ``on_skip(source_id, variant,
-    error)`` so a run can finish and count its casualties.
-    """
-    if dist is None:
-        dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    for article, clean in pairs:
-        alignment = Alignment(clean, article)
-        for variant in range(variants):
-            try:
-                yield make_noisy_record(
-                    article, clean, noise_type, dist, base_seed, variant, paraphraser, alignment
-                )
-            except SumnoiseError as error:
-                if on_skip is not None:
-                    on_skip(clean.source_id, variant, error)

@@ -17,16 +17,10 @@ import pytest
 
 from oracles import clipped_match_count, lcs_full_table, precision_recall_f1
 from sumnoise.cli import cli_main
-from sumnoise.corpus import read_corpus
+from sumnoise.corpus import read_corpus, write_corpus
 from sumnoise.denoise import overlap_denoise
 from sumnoise.metrics import repeat_rate, repetition_count, rouge_l, rouge_n, summary_stats
-from sumnoise.noising import (
-    NoiseDistribution,
-    NoiseType,
-    apply_repeat,
-    generate_noisy_dataset,
-    sample_noise_count,
-)
+from sumnoise.noising import NoiseDistribution, apply_repeat, sample_noise_count
 from sumnoise.synth import synth_corpus
 from sumnoise.text import make_document, unigram_overlap
 
@@ -36,10 +30,6 @@ NOISE_PROBS = NoiseDistribution((0.15, 0.85))
 
 def _report(number: int, message: str) -> None:
     print(f"[criterion {number}] PASS - {message}")
-
-
-def _synth_pairs(records: int, seed: int):
-    return [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
 
 
 def _doc_from_tokens(tokens: tuple[str, ...], split: bool = False):
@@ -135,16 +125,27 @@ def test_criterion_3_repeat_noise_round_trips_through_overlap_denoise():
     _report(3, "overlap denoising recovered all 1000 repeat-noised summaries exactly")
 
 
-def test_criterion_4_noise_distribution_fidelity_and_variant_count():
-    pairs = _synth_pairs(3_334, seed=404)
-    records = list(generate_noisy_dataset(pairs, NoiseType.REPEAT, NOISE_PROBS, base_seed=404))
-    assert len(records) == 3 * len(pairs)
+def _noise_cli(tmp_path, capsys, corpus, *flags: str):
+    """Noise ``corpus`` at the 15/85 split with the ``noise`` subcommand; read the records back."""
+    source, out = tmp_path / "clean.jsonl", tmp_path / "noised.jsonl"
+    write_corpus(corpus, source)
+    assert cli_main(["noise", "-i", str(source), "-o", str(out), "--dist", "0.15,0.85", *flags]) == 0
+    assert capsys.readouterr().err.endswith(", skipped 0\n")
+    return list(read_corpus(out))
+
+
+def test_criterion_4_noise_distribution_fidelity_and_variant_count(tmp_path, capsys):
+    corpus = synth_corpus(3_334, seed=404)
+    records = _noise_cli(tmp_path, capsys, corpus, "--type", "repeat", "--seed", "404")
+    assert len(records) == 3 * len(corpus)
     variants_per_source: dict[str, set[int]] = {}
     for record in records:
-        variants_per_source.setdefault(record.source_id, set()).add(record.variant_index)
-    assert len(variants_per_source) == len(pairs)
+        variants_per_source.setdefault(record.provenance["source_id"], set()).add(
+            record.provenance["variant_index"]
+        )
+    assert len(variants_per_source) == len(corpus)
     assert all(variants == {0, 1, 2} for variants in variants_per_source.values())
-    zero_fraction = sum(1 for r in records if not r.noised_indices) / len(records)
+    zero_fraction = sum(1 for r in records if not r.provenance["noised_indices"]) / len(records)
     assert 0.13 <= zero_fraction <= 0.17
     _report(
         4,
@@ -152,49 +153,48 @@ def test_criterion_4_noise_distribution_fidelity_and_variant_count():
     )
 
 
-def test_criterion_5_every_noise_type_injects_redundancy():
-    pairs = _synth_pairs(500, seed=505)
-    clean_mean = sum(repeat_rate(clean) for _, clean in pairs) / len(pairs)
+def test_criterion_5_every_noise_type_injects_redundancy(tmp_path, capsys):
+    corpus = synth_corpus(500, seed=505)
+    clean_mean = sum(repeat_rate(r.summary_doc()) for r in corpus) / len(corpus)
     noised_means = {}
-    for noise_type in (NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA):
-        records = list(
-            generate_noisy_dataset(pairs, noise_type, NOISE_PROBS, base_seed=55, variants=1)
-        )
+    for noise_type in ("repeat", "replace", "extra"):
+        records = _noise_cli(tmp_path, capsys, corpus, "--type", noise_type, "--seed", "55", "--variants", "1")
         assert len(records) == 500
-        noised_means[noise_type] = sum(repeat_rate(r.noisy) for r in records) / len(records)
+        noisy = [r.working_doc() for r in records]
+        noised_means[noise_type] = sum(repeat_rate(doc) for doc in noisy) / len(noisy)
         assert noised_means[noise_type] > clean_mean
-        if noise_type is NoiseType.REPEAT:
-            mean_repetitions = sum(repetition_count(r.noisy) for r in records) / len(records)
+        if noise_type == "repeat":
+            mean_repetitions = sum(repetition_count(doc) for doc in noisy) / len(noisy)
             assert mean_repetitions >= 0.8
-    summary = ", ".join(f"{t.value}={m:.1f}" for t, m in noised_means.items())
+    summary = ", ".join(f"{t}={m:.1f}" for t, m in noised_means.items())
     _report(5, f"mean repeat rate clean={clean_mean:.1f} vs noised {summary}")
 
 
-def test_criterion_6_overlap_denoise_is_monotone_and_idempotent_on_noised_data():
-    pairs = _synth_pairs(334, seed=606)
-    records = list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, NOISE_PROBS, base_seed=66))
+def test_criterion_6_overlap_denoise_is_monotone_and_idempotent_on_noised_data(tmp_path, capsys):
+    records = _noise_cli(tmp_path, capsys, synth_corpus(334, seed=606), "--type", "mixture", "--seed", "66")
     assert len(records) >= 1_000
     for record in records:
-        first = overlap_denoise(record.noisy)
-        assert repeat_rate(first.output) <= repeat_rate(record.noisy) + 1e-9
-        assert repetition_count(first.output) <= repetition_count(record.noisy)
+        noisy = record.working_doc()
+        first = overlap_denoise(noisy)
+        assert repeat_rate(first.output) <= repeat_rate(noisy) + 1e-9
+        assert repetition_count(first.output) <= repetition_count(noisy)
         second = overlap_denoise(first.output)
         assert second.deleted_indices == ()
         assert second.output.raw_sentences() == first.output.raw_sentences()
     _report(6, f"denoising {len(records)} noised summaries never raised either metric; idempotent")
 
 
-def test_criterion_7_mixture_keeps_dataset_size_with_uniform_types():
-    pairs = _synth_pairs(3_334, seed=707)
-    records = list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, NOISE_PROBS, base_seed=77))
-    assert len(records) == 3 * len(pairs)
+def test_criterion_7_mixture_keeps_dataset_size_with_uniform_types(tmp_path, capsys):
+    corpus = synth_corpus(3_334, seed=707)
+    records = _noise_cli(tmp_path, capsys, corpus, "--type", "mixture", "--seed", "77")
+    assert len(records) == 3 * len(corpus)
     frequencies = {
-        noise_type: sum(1 for r in records if r.noise_type is noise_type) / len(records)
-        for noise_type in (NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA)
+        noise_type: sum(1 for r in records if r.provenance["noise_type"] == noise_type) / len(records)
+        for noise_type in ("repeat", "replace", "extra")
     }
     for noise_type, frequency in frequencies.items():
-        assert 0.30 <= frequency <= 0.37, f"{noise_type.value} frequency {frequency}"
-    summary = ", ".join(f"{t.value}={f:.3f}" for t, f in frequencies.items())
+        assert 0.30 <= frequency <= 0.37, f"{noise_type} frequency {frequency}"
+    summary = ", ".join(f"{t}={f:.3f}" for t, f in frequencies.items())
     _report(7, f"{len(records)} mixture records; type frequencies {summary} all in [0.30, 0.37]")
 
 

@@ -11,14 +11,26 @@ from sumnoise.analysis import (
 )
 from sumnoise.denoise import overlap_denoise
 from sumnoise.errors import AlignmentError, EmptyCorpusError, EmptyDocumentError
-from sumnoise.noising import NoiseType, generate_noisy_dataset, sentence_similarity
+from sumnoise.noising import (
+    DEFAULT_NOISE_PROBS,
+    DEFAULT_VARIANTS,
+    NoiseDistribution,
+    NoiseType,
+    make_noisy_record,
+    sentence_similarity,
+)
 from sumnoise.synth import synth_corpus
 from sumnoise.text import SummaryDoc, make_document, tokenize
 
 
 def noised_records(records: int, seed: int = 19):
+    dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
     pairs = [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
-    return list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, base_seed=seed))
+    return [
+        make_noisy_record(article, clean, NoiseType.MIXTURE, dist, seed, variant)
+        for article, clean in pairs
+        for variant in range(DEFAULT_VARIANTS)
+    ]
 
 
 # --- classify_edit ----------------------------------------------------------

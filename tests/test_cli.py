@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import sys
 import threading
 
@@ -248,6 +249,39 @@ def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [
         "sumnoise: skipped record 'bad': no tokens in sentence: '-- !?'",
         "sumnoise: wrote 3 records, skipped 1",
+    ]
+    assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
+
+
+VARIANT_SKIPS = {
+    # One noisy sentence, but the article's one sentence is the summary's match.
+    "extra": (
+        ["--type", "extra", "--dist", "0,1"], ["a b c d"], "need 1 unmatched article sentences, only 0 available"
+    ),
+    # Two noisy sentences in a one-sentence summary.
+    "replace": (
+        ["--type", "replace", "--dist", "0,0,1"], ["a b c d", "x y z w"], "cannot replace 2 of 1 summary sentences"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VARIANT_SKIPS))
+def test_variant_that_cannot_be_noised_is_skipped(tmp_path, capsys, case):
+    flags, article, message = VARIANT_SKIPS[case]
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus([
+        CorpusRecord(
+            id="ok",
+            article=["alpha beta gamma", "delta epsilon", "zeta eta theta"],
+            summary=["alpha beta", "delta epsilon"],
+        ),
+        CorpusRecord(id="short", article=article, summary=["a b c"]),
+    ], corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(corpus), "-o", str(out), *flags]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"sumnoise: skipped record 'short' variant {variant}: {message}" for variant in range(3)),
+        "sumnoise: wrote 3 records, skipped 3",
     ]
     assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
 
@@ -605,6 +639,18 @@ def test_output_gets_the_mode_a_plain_open_gives(tmp_path, capsys):
     out = tmp_path / "stats.json"
     assert cli_main(["stats", "-i", str(corpus), "-o", str(out)]) == 0
     assert out.stat().st_mode == plain.stat().st_mode
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)  # no one umask turns 0o666 into both
+def test_output_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys, mode):
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "stats.json"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(mode)
+    assert cli_main(["stats", "-i", str(corpus), "-o", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert json.loads(out.read_text(encoding="utf-8"))["records"] == 2
     capsys.readouterr()
 
 

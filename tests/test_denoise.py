@@ -14,7 +14,14 @@ from sumnoise.errors import (
     SumnoiseError,
 )
 from sumnoise.metrics import repeat_rate, repetition_count
-from sumnoise.noising import NoiseDistribution, NoiseType, apply_repeat, generate_noisy_dataset
+from sumnoise.noising import (
+    DEFAULT_NOISE_PROBS,
+    DEFAULT_VARIANTS,
+    NoiseDistribution,
+    NoiseType,
+    apply_repeat,
+    make_noisy_record,
+)
 from sumnoise.synth import synth_corpus
 from sumnoise.text import SummaryDoc, make_document
 
@@ -48,8 +55,13 @@ FAILING = [sys.executable, "-c", "import sys\nsys.stdout.write(sys.stdin.read())
 
 
 def noised_docs(records: int, seed: int = 12, noise_type: NoiseType = NoiseType.MIXTURE):
+    dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
     pairs = [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
-    return list(generate_noisy_dataset(pairs, noise_type, base_seed=seed))
+    return [
+        make_noisy_record(article, clean, noise_type, dist, seed, variant)
+        for article, clean in pairs
+        for variant in range(DEFAULT_VARIANTS)
+    ]
 
 
 # --- overlap rule ----------------------------------------------------------

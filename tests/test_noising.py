@@ -12,6 +12,8 @@ from sumnoise.errors import (
 )
 from sumnoise.metrics import repeat_rate
 from sumnoise.noising import (
+    DEFAULT_NOISE_PROBS,
+    DEFAULT_VARIANTS,
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
@@ -20,7 +22,6 @@ from sumnoise.noising import (
     apply_replace,
     closest_sentence_index,
     derive_seed,
-    generate_noisy_dataset,
     identity_paraphrase,
     make_noisy_record,
     sample_noise_count,
@@ -34,6 +35,16 @@ ONE_NOISY = NoiseDistribution((0.0, 1.0))
 
 def synth_docs(records: int, seed: int = 5):
     return [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
+
+
+def noised(pairs, noise_type: NoiseType, base_seed: int, variants: int = DEFAULT_VARIANTS):
+    """Every variant of every pair at the default distribution; synth pairs never fail."""
+    dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
+    return [
+        make_noisy_record(article, clean, noise_type, dist, base_seed, variant)
+        for article, clean in pairs
+        for variant in range(variants)
+    ]
 
 
 # --- distribution ----------------------------------------------------------
@@ -346,7 +357,7 @@ def test_make_noisy_record_replays_exactly():
 @pytest.mark.parametrize("noise_type", list(NoiseType))
 def test_generate_emits_three_variants_per_pair(noise_type):
     pairs = synth_docs(100)
-    records = list(generate_noisy_dataset(pairs, noise_type, base_seed=3))
+    records = noised(pairs, noise_type, base_seed=3)
     assert len(records) == 300
     per_source: dict[str, list[int]] = {}
     for record in records:
@@ -356,61 +367,23 @@ def test_generate_emits_three_variants_per_pair(noise_type):
 
 def test_generate_is_deterministic():
     pairs = synth_docs(40)
-    first = list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, base_seed=17))
-    second = list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, base_seed=17))
+    first = noised(pairs, NoiseType.MIXTURE, base_seed=17)
+    second = noised(pairs, NoiseType.MIXTURE, base_seed=17)
     assert first == second
 
 
 def test_generate_mixture_records_concrete_types():
     pairs = synth_docs(60)
-    records = list(generate_noisy_dataset(pairs, NoiseType.MIXTURE, base_seed=1))
+    records = noised(pairs, NoiseType.MIXTURE, base_seed=1)
     kinds = {record.noise_type for record in records}
     assert kinds <= {NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA}
     assert len(kinds) == 3
 
 
-def test_generate_skips_impossible_records_with_diagnostics():
-    clean = make_document(["a b c"], source_id="tiny")
-    article = make_document(["a b c d"], source_id="tiny")
-    skips: list[tuple[str, int, Exception]] = []
-    records = list(
-        generate_noisy_dataset(
-            [(article, clean)],
-            NoiseType.EXTRA,
-            dist=ONE_NOISY,
-            on_skip=lambda source_id, variant, error: skips.append((source_id, variant, error)),
-        )
-    )
-    assert records == []
-    assert [(source_id, variant) for source_id, variant, _ in skips] == [
-        ("tiny", 0),
-        ("tiny", 1),
-        ("tiny", 2),
-    ]
-    assert all(isinstance(error, InsufficientArticleError) for _, _, error in skips)
-
-
-def test_generate_skips_replace_k_beyond_summary():
-    clean = make_document(["a b c"], source_id="one")
-    article = make_document(["a b c d", "x y z w"], source_id="one")
-    skips = []
-    records = list(
-        generate_noisy_dataset(
-            [(article, clean)],
-            NoiseType.REPLACE,
-            dist=NoiseDistribution((0.0, 0.0, 1.0)),
-            on_skip=lambda *args: skips.append(args),
-        )
-    )
-    assert records == []
-    assert len(skips) == 3
-    assert all(isinstance(error, InsufficientSummaryError) for _, _, error in skips)
-
-
 @pytest.mark.parametrize("noise_type", [NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA])
 def test_noise_increases_mean_repeat_rate(noise_type):
     pairs = synth_docs(100, seed=23)
-    records = list(generate_noisy_dataset(pairs, noise_type, base_seed=6, variants=1))
+    records = noised(pairs, noise_type, base_seed=6, variants=1)
     assert len(records) == 100
     clean_mean = sum(repeat_rate(r.clean) for r in records) / len(records)
     noisy_mean = sum(repeat_rate(r.noisy) for r in records) / len(records)
