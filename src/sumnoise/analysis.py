@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import AlignmentError, EmptyCorpusError, EmptyDocumentError
+from .errors import AlignmentError, EmptyCorpusError
 from .metrics import (
     DEFAULT_OVERLAP_THRESHOLD,
     repeat_rate,
@@ -124,8 +124,6 @@ def classify_edit(
     modification, an unmatched after-sentence is a modification, and every
     before-sentence left unmatched is a deletion.
     """
-    if len(before) == 0 or len(after) == 0:
-        raise EmptyDocumentError("edit classification needs non-empty documents")
     unmatched = list(range(len(before)))
     modified = 0
     for sent in after.sentences:

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusRecord, read_corpus, record_to_line
 from .denoise import command_argv, external_denoise, overlap_denoise
-from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, SumnoiseError
+from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, InvalidDistributionError, SumnoiseError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
@@ -55,6 +55,25 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of --variants: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _distribution(text: str) -> NoiseDistribution:
+    """argparse type of --dist: comma-separated probabilities, checked by NoiseDistribution."""
+    try:
+        return NoiseDistribution.parse(text)
+    except InvalidDistributionError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumnoise",
@@ -73,11 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     noise.add_argument(
         "--dist",
+        type=_distribution,
         default=",".join(map(str, DEFAULT_NOISE_PROBS)),
         help="comma-separated probabilities of corrupting 0,1,... sentences",
     )
     noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--variants", type=int, default=DEFAULT_VARIANTS)
+    noise.add_argument("--variants", type=_at_least_one, default=DEFAULT_VARIANTS)
     noise.add_argument(
         "--paraphraser", default="identity", choices=["identity", "drop-token"]
     )
@@ -200,9 +220,6 @@ def _write_json(args: argparse.Namespace, payload: dict) -> None:
 
 def cmd_noise(args: argparse.Namespace) -> int:
     noise_type = NoiseType(args.type)
-    dist = NoiseDistribution.parse(args.dist)
-    if args.variants < 1:
-        raise SumnoiseError(f"variants must be at least 1, got {args.variants}")
     paraphraser = (
         DropTokenParaphraser(args.seed) if args.paraphraser == "drop-token" else identity_paraphrase
     )
@@ -229,7 +246,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
             for variant in range(args.variants):
                 try:
                     noisy = make_noisy_record(
-                        article, clean, noise_type, dist, args.seed, variant, paraphraser, alignment
+                        article, clean, noise_type, args.dist, args.seed, variant, paraphraser, alignment
                     )
                 except SumnoiseError as error:
                     print(
@@ -268,6 +285,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             argv = command_argv(args.command)
         except InvalidCommandError as error:
             raise UsageError(f"--command: {error}") from None
+    elif args.command is not None:
+        raise UsageError("--command requires --method external")
     records = read_corpus(args.input)
     with _output(args) as out:
         if args.method == "overlap":

@@ -135,7 +135,7 @@ def _sentence_list(
         return None
     if isinstance(value, str):
         try:
-            return [sent.raw for sent in split_sentences(value)]
+            return split_sentences(value)
         except EmptySentenceError as error:
             raise MalformedRecordError(line_number, f"'{field}': {error}") from error
     if not isinstance(value, list) or not value:

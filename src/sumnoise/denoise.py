@@ -15,15 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    EmptyDocumentError,
-    EmptySentenceError,
-    InvalidCommandError,
-    InvalidThresholdError,
-    ProtocolViolationError,
-)
+from .errors import InvalidCommandError, InvalidThresholdError, ProtocolViolationError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
-from .text import SummaryDoc, TokenizedSentence, cached_tokenize, unigram_overlap
+from .text import SummaryDoc, TokenizedSentence, cached_tokenize, has_tokens, unigram_overlap
 
 SENTENCE_SEPARATOR = "<S>"
 
@@ -42,8 +36,6 @@ def overlap_denoise(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOL
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThresholdError(f"threshold must be in [0, 1], got {threshold}")
-    if len(doc) == 0:
-        raise EmptyDocumentError("cannot denoise an empty document")
     kept: list[TokenizedSentence] = []
     deleted: list[int] = []
     for i, sent in enumerate(doc.sentences):
@@ -172,17 +164,10 @@ def _parse_line(raw_line: bytes, source_id: str) -> SummaryDoc:
         raise ProtocolViolationError(
             f"record {source_id!r}: output line is not valid UTF-8: {error}"
         ) from error
-    sentences = []
-    for piece in line.rstrip("\n").split(SENTENCE_SEPARATOR):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            sentences.append(cached_tokenize(piece))
-        except EmptySentenceError:
-            continue
+    pieces = (piece.strip() for piece in line.rstrip("\n").split(SENTENCE_SEPARATOR))
+    sentences = tuple(map(cached_tokenize, filter(has_tokens, pieces)))
     if not sentences:
         raise ProtocolViolationError(
             f"record {source_id!r}: unparseable output line {line!r}"
         )
-    return SummaryDoc(tuple(sentences), source_id=source_id)
+    return SummaryDoc(sentences, source_id=source_id)

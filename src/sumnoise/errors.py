@@ -12,7 +12,7 @@ class EmptySentenceError(SumnoiseError):
 
 
 class EmptyDocumentError(SumnoiseError):
-    """An operation that needs at least one sentence got an empty document."""
+    """A document was built with no sentences."""
 
 
 class InvalidThresholdError(SumnoiseError):

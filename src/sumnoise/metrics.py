@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyDocumentError, InvalidThresholdError
+from .errors import InvalidThresholdError
 from .text import SummaryDoc, unigram_overlap
 
 DEFAULT_OVERLAP_THRESHOLD = 0.8
@@ -44,8 +44,6 @@ def repeat_rate(doc: SummaryDoc) -> float:
     For each sentence, the fraction of its distinct tokens that also occur in
     the union of all other sentences. A single-sentence summary scores 0.
     """
-    if len(doc) == 0:
-        raise EmptyDocumentError("repeat rate needs at least one sentence")
     type_counts: Counter[str] = Counter()
     for sent in doc.sentences:
         type_counts.update(sent.token_types)
@@ -64,8 +62,6 @@ def rouge_n(candidate: SummaryDoc, reference: SummaryDoc, n: int) -> RougeScore:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if len(candidate) == 0 or len(reference) == 0:
-        raise EmptyDocumentError("ROUGE needs non-empty documents")
     cand_total = max(len(candidate.all_tokens) - n + 1, 0)
     ref_total = max(len(reference.all_tokens) - n + 1, 0)
     cand_counts = _ngram_counts(candidate.all_tokens, n)
@@ -76,8 +72,6 @@ def rouge_n(candidate: SummaryDoc, reference: SummaryDoc, n: int) -> RougeScore:
 
 def rouge_l(candidate: SummaryDoc, reference: SummaryDoc) -> RougeScore:
     """Longest-common-subsequence F1 over the flattened token sequences."""
-    if len(candidate) == 0 or len(reference) == 0:
-        raise EmptyDocumentError("ROUGE needs non-empty documents")
     lcs = _lcs_length(candidate.all_tokens, reference.all_tokens)
     return RougeScore.from_counts(lcs, len(candidate.all_tokens), len(reference.all_tokens))
 
@@ -90,8 +84,6 @@ def repetition_count(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHO
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThresholdError(f"threshold must be in [0, 1], got {threshold}")
-    if len(doc) == 0:
-        raise EmptyDocumentError("repetition count needs at least one sentence")
     count = 0
     for i, sent in enumerate(doc.sentences):
         if any(unigram_overlap(sent, doc.sentences[j]) > threshold for j in range(i)):
@@ -115,8 +107,6 @@ def _lcs_length(xs: Sequence[str], ys: Sequence[str]) -> int:
     far: bit j is clear where that row steps up at column j, so the length is
     the count of clear bits. Python ints serve as bit vectors of any length.
     """
-    if not xs or not ys:
-        return 0
     masks: dict[str, int] = {}
     for j, y in enumerate(ys):
         masks[y] = masks.get(y, 0) | (1 << j)

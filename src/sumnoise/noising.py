@@ -20,12 +20,7 @@ import random
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    EmptyDocumentError,
-    InsufficientArticleError,
-    InsufficientSummaryError,
-    InvalidDistributionError,
-)
+from .errors import InsufficientArticleError, InsufficientSummaryError, InvalidDistributionError
 from .text import FrozenValue, SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
 
 Paraphraser = Callable[[TokenizedSentence], TokenizedSentence]
@@ -136,8 +131,6 @@ def apply_repeat(
     Returns the noised document and the output positions of the appended
     duplicates; existing sentences are never touched.
     """
-    if len(clean) == 0:
-        raise EmptyDocumentError("cannot noise an empty summary")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:
@@ -165,10 +158,6 @@ def apply_replace(
     article sentence. Returns the noised document and the replaced positions.
     An ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """
-    if len(article) == 0:
-        raise EmptyDocumentError("replace noise needs a non-empty article")
-    if len(clean) == 0:
-        raise EmptyDocumentError("cannot noise an empty summary")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k > len(clean):
@@ -203,10 +192,6 @@ def apply_extra(
     noised document and the output positions of the insertions. An
     ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """
-    if len(article) == 0:
-        raise EmptyDocumentError("extra noise needs a non-empty article")
-    if len(clean) == 0:
-        raise EmptyDocumentError("cannot noise an empty summary")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:

@@ -17,7 +17,7 @@ import re
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import EmptySentenceError
+from .errors import EmptyDocumentError, EmptySentenceError
 
 # Characters stripped from the edges of whitespace-delimited units: ASCII
 # punctuation plus the common typographic quotes, dashes, and ellipsis.
@@ -86,12 +86,14 @@ class FrozenValue(Value):
 
 
 class TokenizedSentence(FrozenValue):
-    """One sentence: the original surface text plus its lowercase unigram tokens."""
+    """One sentence: the original surface text plus its lowercase unigram tokens, at least one."""
 
     __slots__ = ("raw", "tokens", "_token_types")
     _fields = ("raw", "tokens")
 
     def __init__(self, raw: str, tokens: tuple[str, ...]) -> None:
+        if not tokens:
+            raise EmptySentenceError(f"no tokens in sentence: {raw!r}")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "_token_types", None)
@@ -105,12 +107,14 @@ class TokenizedSentence(FrozenValue):
 
 
 class SummaryDoc(FrozenValue):
-    """An ordered sequence of sentences with an opaque record identifier."""
+    """An ordered sequence of at least one sentence, with an opaque record identifier."""
 
     __slots__ = ("sentences", "source_id", "_all_tokens")
     _fields = ("sentences", "source_id")
 
     def __init__(self, sentences: tuple[TokenizedSentence, ...], source_id: str = "") -> None:
+        if not sentences:
+            raise EmptyDocumentError(f"no sentences in document {source_id!r}")
         object.__setattr__(self, "sentences", sentences)
         object.__setattr__(self, "source_id", source_id)
         object.__setattr__(self, "_all_tokens", None)
@@ -142,8 +146,6 @@ def tokenize(raw: str) -> TokenizedSentence:
         stripped = unit.strip(_EDGE_CHARS)
         if stripped:
             tokens.append(stripped)
-    if not tokens:
-        raise EmptySentenceError(f"no tokens in sentence: {raw!r}")
     return TokenizedSentence(raw=raw, tokens=tuple(tokens))
 
 
@@ -166,13 +168,14 @@ def make_document(sentences: Iterable[str], source_id: str = "") -> SummaryDoc:
     return SummaryDoc(tuple(map(cached_tokenize, sentences)), source_id=source_id)
 
 
-def split_sentences(raw_text: str) -> list[TokenizedSentence]:
-    """Split running text on sentence-final punctuation and tokenize each piece.
+def split_sentences(raw_text: str) -> list[str]:
+    """Split running text on sentence-final punctuation into sentence strings.
 
     Splits after ``.``, ``!`` or ``?`` (plus any closing quote or bracket)
     followed by whitespace. A small abbreviation list and single-letter
     initials keep titles like "Mr." or "J. Smith" from breaking mid-sentence.
-    Text without a terminator still yields one sentence.
+    Text without a terminator still yields one sentence. Pieces without a
+    token are dropped; raises EmptySentenceError when none is left.
     """
     pieces: list[str] = []
     for piece in _SENTENCE_BREAK.split(raw_text):
@@ -183,12 +186,7 @@ def split_sentences(raw_text: str) -> list[TokenizedSentence]:
             pieces[-1] = f"{pieces[-1]} {piece}"
         else:
             pieces.append(piece)
-    sentences = []
-    for piece in pieces:
-        try:
-            sentences.append(tokenize(piece))
-        except EmptySentenceError:
-            continue
+    sentences = list(filter(has_tokens, pieces))
     if not sentences:
         raise EmptySentenceError("no splittable content")
     return sentences
@@ -215,8 +213,6 @@ def unigram_overlap(a: TokenizedSentence, b: TokenizedSentence) -> float:
     repeated verbatim scores exactly 1.0 against its original no matter how
     long the other sentence is, which is what threshold rules need.
     """
-    if not a.token_types or not b.token_types:
-        raise EmptySentenceError("overlap needs non-empty token sets")
     return len(a.token_types & b.token_types) / len(a.token_types)
 
 
@@ -229,8 +225,6 @@ def sentence_similarity(a: TokenizedSentence, b: TokenizedSentence) -> float:
     threshold checks on the score are exact.
     """
     a_types, b_types = a.token_types, b.token_types
-    if not a_types or not b_types:
-        raise EmptySentenceError("overlap needs non-empty token sets")
     return 2 * len(a_types & b_types) / (len(a_types) + len(b_types))
 
 

@@ -10,7 +10,7 @@ from sumnoise.analysis import (
     eval_report,
 )
 from sumnoise.denoise import overlap_denoise
-from sumnoise.errors import AlignmentError, EmptyCorpusError, EmptyDocumentError
+from sumnoise.errors import AlignmentError, EmptyCorpusError
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
@@ -20,7 +20,7 @@ from sumnoise.noising import (
     sentence_similarity,
 )
 from sumnoise.synth import synth_corpus
-from sumnoise.text import SummaryDoc, make_document, tokenize
+from sumnoise.text import make_document, tokenize
 
 
 def noised_records(records: int, seed: int = 19):
@@ -80,11 +80,6 @@ def test_deletion_and_modification_together():
     assert result.kind is EditKind.DELETED_AND_MODIFIED
     assert result.deleted_count == 1
     assert result.modified_count == 1
-
-
-def test_classify_requires_non_empty_documents():
-    with pytest.raises(EmptyDocumentError):
-        classify_edit(SummaryDoc(()), make_document(["a"]))
 
 
 def test_verbatim_matching_is_order_insensitive():

@@ -104,16 +104,16 @@ def test_noise_shards_concatenate_to_the_whole_run(tmp_path, fixture_corpus):
 
 def test_noise_rejects_zero_variants(tmp_path, fixture_corpus, capsys):
     out = tmp_path / "noised.jsonl"
-    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--variants", "0"]) == 1
-    assert "variants must be at least 1, got 0" in capsys.readouterr().err
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--variants", "0"]) == 2
+    assert "argument --variants: must be at least 1, got '0'" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("dist", ["nan", "0.5,nan,0.5"])
 def test_noise_rejects_a_nan_distribution(tmp_path, fixture_corpus, capsys, dist):
     out = tmp_path / "noised.jsonl"
-    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--dist", dist]) == 1
-    assert "sumnoise: error: probabilities must be in [0, 1]" in capsys.readouterr().err
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--dist", dist]) == 2
+    assert "argument --dist: probabilities must be in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,22 +350,23 @@ def test_denoise_external_output_that_is_not_utf8_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
+    "flags",
     [
-        pytest.param(None, id="missing"),
-        pytest.param("", id="empty"),
-        pytest.param("   ", id="blank"),
-        pytest.param("'x", id="unclosed-quote"),
+        pytest.param(["--method", "external"], id="missing"),
+        pytest.param(["--method", "external", "--command", ""], id="empty"),
+        pytest.param(["--method", "external", "--command", "   "], id="blank"),
+        pytest.param(["--method", "external", "--command", "'x"], id="unclosed-quote"),
+        pytest.param(["--command", "./model.sh"], id="without-method-external"),
     ],
 )
-def test_denoise_external_requires_command(tmp_path, capsys, command):
+def test_denoise_external_requires_command(tmp_path, capsys, flags):
     # The input does not exist: a check that waited for it would exit 1.
     out = tmp_path / "denoised.jsonl"
-    argv = ["denoise", "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--method", "external"]
-    if command is not None:
-        argv += ["--command", command]
+    argv = ["denoise", "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), *flags]
     assert cli_main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--command" in err
     assert not out.exists()
 
 
@@ -511,6 +512,9 @@ BAD_THRESHOLD_CASES = {
     "analyze-tau-match": ["analyze", "-b", "{missing}", "-a", "{missing}", "-o", "{out}", "--tau-match", "7"],
     "stats-negative": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "-1"],
     "stats-not-a-number": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "high"],
+    "noise-zero-variants": ["noise", "-i", "{missing}", "-o", "{out}", "--variants", "0"],
+    "noise-dist-sum": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "0.5,0.4"],
+    "noise-dist-not-a-number": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "abc"],
 }
 
 

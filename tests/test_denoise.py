@@ -7,12 +7,7 @@ import sys
 import pytest
 
 from sumnoise.denoise import SENTENCE_SEPARATOR, external_denoise, overlap_denoise
-from sumnoise.errors import (
-    EmptyDocumentError,
-    InvalidThresholdError,
-    ProtocolViolationError,
-    SumnoiseError,
-)
+from sumnoise.errors import InvalidThresholdError, ProtocolViolationError, SumnoiseError
 from sumnoise.metrics import repeat_rate, repetition_count
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
@@ -23,7 +18,7 @@ from sumnoise.noising import (
     make_noisy_record,
 )
 from sumnoise.synth import synth_corpus
-from sumnoise.text import SummaryDoc, make_document
+from sumnoise.text import make_document
 
 PASSTHROUGH = [sys.executable, "-c", "import sys\nfor line in sys.stdin: sys.stdout.write(line)"]
 
@@ -111,8 +106,6 @@ def test_overlap_denoise_ignores_deleted_sentences_when_comparing():
 
 
 def test_overlap_denoise_validates_inputs():
-    with pytest.raises(EmptyDocumentError):
-        overlap_denoise(SummaryDoc(()))
     with pytest.raises(InvalidThresholdError):
         overlap_denoise(make_document(["a b"]), threshold=1.2)
 

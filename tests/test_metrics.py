@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import clipped_match_count, lcs_full_table, ngram_list, precision_recall_f1
-from sumnoise.errors import EmptyDocumentError, InvalidThresholdError
+from sumnoise.errors import InvalidThresholdError
 from sumnoise.metrics import (
     RougeScore,
     _lcs_length,
@@ -44,11 +44,6 @@ def test_repeat_rate_identical_pair_is_hundred():
 def test_repeat_rate_half_shared():
     # Hand computation: each sentence shares one of its two types.
     assert repeat_rate(doc_of("a b", "b c")) == 50.0
-
-
-def test_repeat_rate_empty_document():
-    with pytest.raises(EmptyDocumentError):
-        repeat_rate(SummaryDoc(()))
 
 
 def test_repeat_rate_counts_types_not_occurrences():
@@ -112,11 +107,6 @@ def test_rouge_n_with_no_ngrams_on_either_side_scores_zero():
 def test_rouge_n_one_sided_shortage_scores_zero():
     score = rouge_n(doc_of("a"), doc_of("a b c"), 2)
     assert score == RougeScore(0.0, 0.0, 0.0)
-
-
-def test_rouge_n_rejects_empty_documents():
-    with pytest.raises(EmptyDocumentError):
-        rouge_n(SummaryDoc(()), doc_of("a"), 1)
 
 
 @given(token_docs, token_docs)
@@ -226,17 +216,8 @@ def test_repetition_count_invalid_threshold():
         repetition_count(doc_of("a b"), threshold=-0.1)
 
 
-def test_repetition_count_empty_document():
-    with pytest.raises(EmptyDocumentError):
-        repetition_count(SummaryDoc(()))
-
-
 # --- summary stats --------------------------------------------------------
 
 
 def test_summary_stats_counts():
     assert summary_stats(doc_of("a b", "c")) == (2, 3)
-
-
-def test_summary_stats_empty():
-    assert summary_stats(SummaryDoc(())) == (0, 0)

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from sumnoise.errors import (
-    EmptyDocumentError,
-    InsufficientArticleError,
-    InsufficientSummaryError,
-    InvalidDistributionError,
-)
+from sumnoise.errors import InsufficientArticleError, InsufficientSummaryError, InvalidDistributionError
 from sumnoise.metrics import repeat_rate
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
@@ -28,7 +23,7 @@ from sumnoise.noising import (
     sentence_similarity,
 )
 from sumnoise.synth import synth_corpus
-from sumnoise.text import SummaryDoc, make_document, tokenize
+from sumnoise.text import make_document, tokenize
 
 ONE_NOISY = NoiseDistribution((0.0, 1.0))
 
@@ -164,11 +159,6 @@ def test_repeat_length_and_prefix_properties():
         assert len(indices) == k
 
 
-def test_repeat_empty_document():
-    with pytest.raises(EmptyDocumentError):
-        apply_repeat(SummaryDoc(()), 1, random.Random(0))
-
-
 # --- replace ---------------------------------------------------------------
 
 
@@ -212,11 +202,6 @@ def test_replace_rejects_k_beyond_summary():
     article = make_document(["c d"])
     with pytest.raises(InsufficientSummaryError):
         apply_replace(clean, article, 2, random.Random(0))
-
-
-def test_replace_empty_article():
-    with pytest.raises(EmptyDocumentError):
-        apply_replace(make_document(["a b"]), SummaryDoc(()), 1, random.Random(0))
 
 
 # --- extra -----------------------------------------------------------------

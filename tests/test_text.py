@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumnoise.errors import EmptySentenceError
+from sumnoise.errors import EmptyDocumentError, EmptySentenceError
 from sumnoise.text import (
     _EDGE_CHARS,
     SENTENCE_CACHE_SIZE,
+    SummaryDoc,
     TokenizedSentence,
     cached_tokenize,
     drop_token,
@@ -91,19 +92,20 @@ def test_split_two_sentences():
 
 
 def test_split_without_terminator_is_one_sentence():
-    sentences = split_sentences("one sentence")
-    assert len(sentences) == 1
-    assert sentences[0].tokens == ("one", "sentence")
+    assert split_sentences("one sentence") == ["one sentence"]
 
 
 def test_split_does_not_break_on_title_abbreviation():
     # Verified by hand against the abbreviation list: "Mr." must not split.
-    sentences = split_sentences("Mr. Smith ran. He won.")
-    assert [s.raw for s in sentences] == ["Mr. Smith ran.", "He won."]
+    assert split_sentences("Mr. Smith ran. He won.") == ["Mr. Smith ran.", "He won."]
 
 
 def test_split_handles_question_and_exclamation():
     assert len(split_sentences("Really? Yes! Fine.")) == 3
+
+
+def test_split_drops_pieces_without_tokens():
+    assert split_sentences("Fine. ... Done.") == ["Fine.", "Done."]
 
 
 def test_split_rejects_unsplittable_content():
@@ -113,8 +115,7 @@ def test_split_rejects_unsplittable_content():
 
 def test_split_reconstructs_text_up_to_whitespace():
     text = "First part here. Second part there. Third one."
-    sentences = split_sentences(text)
-    assert " ".join(s.raw for s in sentences).split() == text.split()
+    assert " ".join(split_sentences(text)).split() == text.split()
 
 
 def test_overlap_identical_sentences():
@@ -175,9 +176,13 @@ def test_sentence_similarity_is_the_exact_dice_coefficient():
                 assert score == float(Fraction(2 * c, a + b)), (a, b, c)
 
 
-def test_sentence_similarity_rejects_empty_token_sets():
-    with pytest.raises(EmptySentenceError):
-        sentence_similarity(TokenizedSentence(raw="", tokens=()), tokenize("a"))
+def test_documents_and_sentences_cannot_be_empty():
+    with pytest.raises(EmptyDocumentError):
+        SummaryDoc(())
+    with pytest.raises(EmptyDocumentError):
+        make_document([])
+    with pytest.raises(EmptySentenceError, match=r"^no tokens in sentence: '\?! --'$"):
+        TokenizedSentence("?! --", ())
 
 
 def test_make_document_preserves_order():
