@@ -123,7 +123,14 @@ def classify_edit(
     exactly the threshold matches. A match below similarity 1.0 is a
     modification, an unmatched after-sentence is a modification, and every
     before-sentence left unmatched is a deletion.
+
+    Equal sentence tuples are NO_CHANGE without the loop whenever
+    ``match_threshold <= 1.0``: the unmatched before-sentences always hold
+    the same multiset of token-type sets as the after-sentences still to
+    come, so every greedy pick scores exactly 1.0.
     """
+    if match_threshold <= 1.0 and after.sentences == before.sentences:
+        return EditClassification(kind=EditKind.NO_CHANGE, deleted_count=0, modified_count=0)
     unmatched = list(range(len(before)))
     modified = 0
     for sent in after.sentences:
@@ -204,13 +211,33 @@ def eval_report(
     }
     streams = [before, after] if references is None else [before, after, references]
     for before_doc, after_doc, *reference in aligned_pairs(*streams):
-        systems["before"].add(before_doc, *reference)
-        systems["after"].add(after_doc, *reference)
+        scores = systems["before"].add(before_doc, *reference)
+        # Every score depends only on the sentences and the reference, so an
+        # unchanged document adds the before-document's scores as they are.
+        if after_doc.sentences == before_doc.sentences:
+            systems["after"].add_scores(scores)
+        else:
+            systems["after"].add(after_doc, *reference)
     if systems["before"].records == 0:
         raise EmptyCorpusError("no records to evaluate")
     return EvalReport(
         rows=tuple(acc.row(name, with_rouge=references is not None) for name, acc in systems.items())
     )
+
+
+class DocumentScores(NamedTuple):
+    """One document's metric values, as ``MetricAccumulator`` sums them.
+
+    The ROUGE F1 fields stay 0.0 for a document scored without a reference.
+    """
+
+    sentences: int
+    tokens: int
+    repeat: float
+    repetitions: int
+    rouge1: float = 0.0
+    rouge2: float = 0.0
+    rouge_l: float = 0.0
 
 
 class MetricAccumulator:
@@ -227,17 +254,28 @@ class MetricAccumulator:
         self.tokens = 0
         self.repetitions = 0
 
-    def add(self, doc: SummaryDoc, reference: SummaryDoc | None = None) -> None:
-        self.records += 1
+    def add(self, doc: SummaryDoc, reference: SummaryDoc | None = None) -> DocumentScores:
+        """Score one document, add the scores to the sums, and return them."""
         sentences, tokens = summary_stats(doc)
-        self.sentences += sentences
-        self.tokens += tokens
-        self.repeat += repeat_rate(doc)
-        self.repetitions += repetition_count(doc, self.repetition_threshold)
-        if reference is not None:
-            self.rouge1 += rouge_n(doc, reference, 1).f1
-            self.rouge2 += rouge_n(doc, reference, 2).f1
-            self.rouge_l += rouge_l(doc, reference).f1
+        rouge = () if reference is None else (
+            rouge_n(doc, reference, 1).f1, rouge_n(doc, reference, 2).f1, rouge_l(doc, reference).f1
+        )
+        scores = DocumentScores(
+            sentences, tokens, repeat_rate(doc), repetition_count(doc, self.repetition_threshold), *rouge
+        )
+        self.add_scores(scores)
+        return scores
+
+    def add_scores(self, scores: DocumentScores) -> None:
+        """Add one document's scores, as ``add`` returned them, to the sums."""
+        self.records += 1
+        self.sentences += scores.sentences
+        self.tokens += scores.tokens
+        self.repeat += scores.repeat
+        self.repetitions += scores.repetitions
+        self.rouge1 += scores.rouge1
+        self.rouge2 += scores.rouge2
+        self.rouge_l += scores.rouge_l
 
     def row(self, system: str, with_rouge: bool = False) -> SystemReport:
         n = self.records

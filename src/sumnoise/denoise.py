@@ -71,14 +71,15 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
 
     Writes one UTF-8 line per document (sentences joined by
     ``SENTENCE_SEPARATOR``) to the command's stdin and yields one re-parsed
-    document per output line. Sentences containing the separator are rejected
-    on write. A missing, extra, unparseable or non-UTF-8 output line raises
-    ProtocolViolationError naming the offending record. Writing happens on a
-    feeder thread so the adapter works with filters that buffer arbitrarily.
-    An error raised while iterating ``docs`` propagates as it is; only a
-    failed write to the command becomes a ProtocolViolationError. An empty or
-    unsplittable command raises InvalidCommandError (see ``command_argv``) on
-    the first ``next``, before any process starts.
+    document per output line. Sentences containing the separator or a newline
+    are rejected before their line is written. A missing, extra, unparseable
+    or non-UTF-8 output line raises ProtocolViolationError naming the
+    offending record. Writing happens on a feeder thread so the adapter works
+    with filters that buffer arbitrarily. An error raised while iterating
+    ``docs`` propagates as it is; only a failed write to the command becomes a
+    ProtocolViolationError. An empty or unsplittable command raises
+    InvalidCommandError (see ``command_argv``) on the first ``next``, before
+    any process starts.
     """
     # Imported here, not at the top: only this path runs a process, and every
     # other subcommand would pay for them at start-up.
@@ -104,8 +105,13 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
                             f"record {doc.source_id!r}: sentence contains "
                             f"separator token {SENTENCE_SEPARATOR!r}"
                         )
-                pending.put((index, doc.source_id))
                 line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
+                if "\n" in line:
+                    raise ProtocolViolationError(
+                        f"record {doc.source_id!r}: sentence contains a newline, "
+                        "which would end its protocol line early"
+                    )
+                pending.put((index, doc.source_id))
                 try:
                     proc.stdin.write(line.encode("utf-8") + b"\n")
                     proc.stdin.flush()

@@ -44,14 +44,18 @@ def repeat_rate(doc: SummaryDoc) -> float:
     For each sentence, the fraction of its distinct tokens that also occur in
     the union of all other sentences. A single-sentence summary scores 0.
     """
-    type_counts: Counter[str] = Counter()
+    # A token is in the union of the other sentences iff at least two
+    # sentences have it: those are the types seen again after their first.
+    seen: set[str] = set()
+    shared: set[str] = set()
     for sent in doc.sentences:
-        type_counts.update(sent.token_types)
+        types = sent.token_types
+        shared |= seen & types
+        seen |= types
     total = 0.0
     for sent in doc.sentences:
-        # A token is in the complement iff some other sentence also has it.
-        shared = sum(1 for token in sent.token_types if type_counts[token] >= 2)
-        total += shared / len(sent.token_types)
+        types = sent.token_types
+        total += len(types & shared) / len(types)
     return 100.0 * total / len(doc)
 
 
@@ -66,7 +70,13 @@ def rouge_n(candidate: SummaryDoc, reference: SummaryDoc, n: int) -> RougeScore:
     ref_total = max(len(reference.all_tokens) - n + 1, 0)
     cand_counts = _ngram_counts(candidate.all_tokens, n)
     ref_counts = _ngram_counts(reference.all_tokens, n)
-    match = (cand_counts & ref_counts).total()
+    # The clipped match count, summed over the side with fewer distinct
+    # n-grams; cheaper than building the Counter ``cand_counts & ref_counts``.
+    if len(cand_counts) <= len(ref_counts):
+        small, large = cand_counts, ref_counts
+    else:
+        small, large = ref_counts, cand_counts
+    match = sum([min(count, large.get(gram, 0)) for gram, count in small.items()])
     return RougeScore.from_counts(match, cand_total, ref_total)
 
 

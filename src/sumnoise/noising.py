@@ -241,20 +241,25 @@ class DropTokenParaphraser:
     def __call__(self, sentence: TokenizedSentence) -> TokenizedSentence:
         if len(sentence.tokens) < 3:
             return sentence
-        import hashlib  # deferred, as in derive_seed
-
         payload = f"{self.seed}:{' '.join(sentence.tokens)}".encode("utf-8")
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        drop = 1 + int.from_bytes(digest, "big") % (len(sentence.tokens) - 2)
+        drop = 1 + _stable_hash64(payload) % (len(sentence.tokens) - 2)
         return drop_token(sentence, drop)
 
 
 def derive_seed(base_seed: int, source_id: str, variant_index: int) -> int:
     """Mix the run seed, record id, and variant into an independent 64-bit seed."""
-    import hashlib  # here, not at the top: it loads OpenSSL, which only noise needs
+    return _stable_hash64(f"{base_seed}:{variant_index}:{source_id}".encode("utf-8"))
 
-    payload = f"{base_seed}:{variant_index}:{source_id}".encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+
+def _stable_hash64(payload: bytes) -> int:
+    """The 8-byte BLAKE2b digest of ``payload`` as a big-endian int."""
+    # Imported here, not at the top, because only noise hashes. This is the
+    # object hashlib.blake2b binds (hashlib always takes BLAKE2 from _blake2),
+    # but importing hashlib also loads OpenSSL, about 3.5 MB of peak RSS that
+    # noise does not use.
+    from _blake2 import blake2b
+
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
 def make_noisy_record(

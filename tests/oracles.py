@@ -2,12 +2,16 @@
 
 These deliberately use different algorithms from the package: n-gram matches
 are counted by consuming reference occurrences one at a time from a list
-instead of intersecting Counters, and the LCS is computed with a full
-quadratic table instead of bit-parallel row updates.
+instead of summing clipped counts, the LCS is computed with a full quadratic
+table instead of bit-parallel row updates, Repeat counts the sentences that
+hold each token type in a Counter instead of building the set of shared
+types, and edits are classified by the greedy alignment loop alone, with no
+short-cut for unchanged documents.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 
@@ -43,3 +47,39 @@ def precision_recall_f1(match: float, cand_total: int, ref_total: int) -> tuple[
     if precision + recall == 0.0:
         return precision, recall, 0.0
     return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
+def repeat_rate_counter(doc) -> float:
+    """Repeat rate, with the number of sentences holding each token type kept in a Counter."""
+    type_counts: Counter[str] = Counter()
+    for sent in doc.sentences:
+        type_counts.update(sent.token_types)
+    total = 0.0
+    for sent in doc.sentences:
+        shared = sum(1 for token in sent.token_types if type_counts[token] >= 2)
+        total += shared / len(sent.token_types)
+    return 100.0 * total / len(doc)
+
+
+def greedy_edit_counts(before, after, match_threshold: float) -> tuple[int, int]:
+    """Deleted and modified counts of the greedy alignment, with no short-cut.
+
+    Each after-sentence takes its most similar unmatched before-sentence (the
+    Dice similarity of their token types, ties to the lowest index) when that
+    similarity reaches ``match_threshold``.
+    """
+    unmatched = list(range(len(before.sentences)))
+    modified = 0
+    for sent in after.sentences:
+        best_pos, best_sim = -1, -1.0
+        for pos in unmatched:
+            a, b = frozenset(sent.tokens), frozenset(before.sentences[pos].tokens)
+            sim = 2 * len(a & b) / (len(a) + len(b))
+            if sim > best_sim:
+                best_pos, best_sim = pos, sim
+        if best_pos >= 0 and best_sim >= match_threshold:
+            unmatched.remove(best_pos)
+            modified += best_sim < 1.0
+        else:
+            modified += 1
+    return len(unmatched), modified

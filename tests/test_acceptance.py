@@ -7,7 +7,6 @@ PASS lines as they complete.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 import time

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import greedy_edit_counts
 from sumnoise.analysis import (
     EditKind,
+    MetricAccumulator,
     aggregate_operations,
     aligned_pairs,
     classify_edit,
@@ -20,7 +26,7 @@ from sumnoise.noising import (
     sentence_similarity,
 )
 from sumnoise.synth import synth_corpus
-from sumnoise.text import make_document, tokenize
+from sumnoise.text import SummaryDoc, TokenizedSentence, make_document, tokenize
 
 
 def noised_records(records: int, seed: int = 19):
@@ -42,6 +48,35 @@ def test_identical_documents_are_no_change():
     assert result.kind is EditKind.NO_CHANGE
     assert result.deleted_count == 0
     assert result.modified_count == 0
+
+
+# Sentences whose token-type sets coincide although their raw text differs.
+SENTENCE_POOL = ["a b", "b a", "a b b", "A, b!", "a c", "c", "c a b", "b c a."]
+
+
+def equal_copy(doc):
+    """A document equal to ``doc`` that shares none of its sentence objects."""
+    return SummaryDoc(tuple(TokenizedSentence(s.raw, s.tokens) for s in doc.sentences), doc.source_id)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(st.sampled_from(SENTENCE_POOL), min_size=1, max_size=6),
+    st.none() | st.lists(st.sampled_from(SENTENCE_POOL), min_size=1, max_size=6),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, math.nan]),
+)
+def test_classify_edit_agrees_with_the_greedy_loop(before_sents, after_sents, threshold):
+    before = make_document(before_sents)
+    # None draws an unchanged document, which takes the short-cut unless the
+    # threshold is above 1 or NaN.
+    afters = [before, equal_copy(before)] if after_sents is None else [make_document(after_sents)]
+    for after in afters:
+        result = classify_edit(before, after, threshold)
+        assert (result.deleted_count, result.modified_count) == greedy_edit_counts(before, after, threshold)
+        if after_sents is None and threshold <= 1.0:
+            assert result.kind is EditKind.NO_CHANGE
+        elif after_sents is None:  # no pair can reach the threshold
+            assert result == (EditKind.DELETED_AND_MODIFIED, len(before), len(before))
 
 
 def test_missing_sentence_is_a_deletion():
@@ -176,6 +211,43 @@ def test_eval_report_identical_streams_have_identical_rows():
         after.mean_tokens,
     )
     assert before.rouge1 is None
+
+
+@settings(derandomize=True, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(SENTENCE_POOL), min_size=1, max_size=5),
+            st.sampled_from(["same", "copy", "changed"]),
+            st.lists(st.sampled_from(SENTENCE_POOL), min_size=1, max_size=5),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_eval_report_rows_equal_scoring_each_side_on_its_own(pairs, with_references):
+    before, after, references = [], [], []
+    for i, (sents, change, other) in enumerate(pairs):
+        doc = make_document(sents, source_id=f"r{i}")
+        before.append(doc)
+        if change == "same":
+            after.append(doc)
+        elif change == "copy":
+            after.append(equal_copy(doc))
+        else:
+            after.append(make_document(other, source_id=f"r{i}"))
+        references.append(make_document(other[::-1], source_id=f"r{i}"))
+    report = eval_report(iter(before), iter(after), iter(references) if with_references else None)
+    if not with_references:
+        references = [None] * len(before)
+    expected = []
+    for system, docs in (("before", before), ("after", after)):
+        accumulator = MetricAccumulator()
+        for doc, reference in zip(docs, references):
+            accumulator.add(doc, reference)
+        expected.append(accumulator.row(system, with_rouge=with_references))
+    assert report.rows == tuple(expected)
 
 
 def test_eval_report_self_references_score_hundred():

@@ -349,6 +349,20 @@ def test_denoise_external_output_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_denoise_external_refuses_hard_wrapped_running_text(tmp_path, capsys):
+    corpus = tmp_path / "wrapped.jsonl"
+    record = {"id": "wrapped", "article": "A cat. A mat.", "summary": "The cat sat\non the mat. It left."}
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "denoised.jsonl"
+    assert cli_main(["denoise", "-i", str(corpus), "-o", str(out)]) == 0
+    out.unlink()
+    code = cli_main(["denoise", "-i", str(corpus), "-o", str(out), "--method", "external", "--command", "cat"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sumnoise: error: record 'wrapped': sentence contains a newline")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

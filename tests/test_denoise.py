@@ -209,6 +209,21 @@ def test_external_rejects_separator_inside_sentence():
     assert "oops" in str(excinfo.value)
 
 
+def test_external_rejects_a_newline_inside_a_sentence_before_writing_its_line():
+    # The newline would split the record's line in two, and every later
+    # record would be paired with the wrong output line.
+    docs = [
+        make_document(["alpha beta"], source_id="d1"),
+        make_document(["The cat sat\non the mat.", "It left."], source_id="wrapped"),
+        make_document(["gamma"], source_id="d3"),
+    ]
+    out = []
+    with pytest.raises(ProtocolViolationError, match="record 'wrapped': sentence contains a newline"):
+        for doc in external_denoise(docs, ["cat"]):
+            out.append(doc)
+    assert [(d.source_id, d.raw_sentences()) for d in out] == [("d1", ["alpha beta"])]
+
+
 def test_external_extra_output_line_is_a_protocol_violation():
     with pytest.raises(ProtocolViolationError):
         list(external_denoise(docs_fixture(), EXTRA_LINE))

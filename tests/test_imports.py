@@ -9,9 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Loaded only on the paths that need them: the external denoiser (subprocess,
-# shlex, queue), noise seeding (hashlib, which loads OpenSSL), and nothing at
-# all (dataclasses, which brings inspect, ast, dis and tokenize).
-DEFERRED = {"dataclasses", "inspect", "subprocess", "hashlib", "shlex", "queue"}
+# shlex, queue), noise seeding (_blake2), and nothing at all (dataclasses,
+# which brings inspect, ast, dis and tokenize; hashlib, which loads OpenSSL).
+DEFERRED = {"dataclasses", "inspect", "subprocess", "_blake2", "hashlib", "shlex", "queue"}
 
 
 def modules_added_by(statement: str) -> set[str]:
@@ -34,3 +34,9 @@ def test_importing_the_cli_loads_no_path_specific_module():
     added = modules_added_by("import sumnoise.cli")
     assert "sumnoise.cli" in added
     assert added & DEFERRED == set()
+
+
+def test_noise_seeding_does_not_load_openssl():
+    added = modules_added_by("import sumnoise.cli, sumnoise.noising as n; n.derive_seed(1, 'r1', 0)")
+    assert "_blake2" in added
+    assert {"hashlib", "_hashlib"} & added == set()

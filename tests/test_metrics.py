@@ -3,10 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import clipped_match_count, lcs_full_table, ngram_list, precision_recall_f1
+from oracles import clipped_match_count, lcs_full_table, ngram_list, precision_recall_f1, repeat_rate_counter
 from sumnoise.errors import InvalidThresholdError
 from sumnoise.metrics import (
     RougeScore,
@@ -62,6 +62,19 @@ def test_appending_duplicate_never_lowers_redundancy(sentences, pick):
     extended = make_document(list(sentences) + [duplicate])
     assert repeat_rate(extended) >= repeat_rate(doc) - 1e-12
     assert repetition_count(extended) >= repetition_count(doc)
+
+
+# Documents that repeat some of their sentences: drawn from a small pool.
+repeating_docs = st.lists(
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6).map(" ".join), min_size=1, max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(repeating_docs)
+def test_repeat_rate_equals_the_counter_oracle(sentences):
+    doc = make_document(sentences)
+    assert repeat_rate(doc) == repeat_rate_counter(doc)
 
 
 # --- ROUGE-N --------------------------------------------------------------
@@ -167,6 +180,24 @@ def test_rouge_matches_oracles_on_random_documents():
         )
         got_l = rouge_l(cand, ref)
         assert (got_l.precision, got_l.recall, got_l.f1) == expected_l
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+    st.lists(st.sampled_from("abcd"), min_size=20, max_size=80),
+    st.booleans(),
+    st.integers(min_value=1, max_value=3),
+)
+def test_rouge_n_matches_the_oracle_when_one_side_has_far_more_ngrams(short, long, short_is_candidate, n):
+    cand_tokens, ref_tokens = (short, long) if short_is_candidate else (long, short)
+    cand, ref = make_document([" ".join(cand_tokens)]), make_document([" ".join(ref_tokens)])
+    expected = precision_recall_f1(
+        clipped_match_count(cand_tokens, ref_tokens, n),
+        max(len(cand_tokens) - n + 1, 0),
+        max(len(ref_tokens) - n + 1, 0),
+    )
+    assert tuple(rouge_n(cand, ref, n)) == expected
 
 
 def test_rouge_l_matches_oracle_on_long_and_repetitive_documents():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -330,6 +331,18 @@ def test_derive_seed_distinguishes_variants_and_records():
         derive_seed(2, "r1", 0),
     }
     assert len(seeds) == 4
+
+
+def test_seeds_and_paraphrases_hash_with_hashlib_blake2b():
+    payload = b"7:0:r1"
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    assert derive_seed(7, "r1", 0) == int.from_bytes(digest, "big")
+    sentence = tokenize("one two three four five six seven eight")
+    for seed in range(12):
+        tokens = sentence.tokens
+        hashed = hashlib.blake2b(f"{seed}:{' '.join(tokens)}".encode("utf-8"), digest_size=8).digest()
+        drop = 1 + int.from_bytes(hashed, "big") % (len(tokens) - 2)
+        assert DropTokenParaphraser(seed)(sentence).tokens == tokens[:drop] + tokens[drop + 1 :]
 
 
 def test_make_noisy_record_replays_exactly():
