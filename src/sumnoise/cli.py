@@ -20,7 +20,7 @@ import sys
 from typing import IO, Iterable, Iterator, Sequence
 
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
-from .corpus import CorpusRecord, read_corpus, record_to_line
+from .corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
 from .denoise import command_argv, external_denoise, overlap_denoise
 from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, InvalidDistributionError, SumnoiseError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
@@ -326,33 +326,38 @@ def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     before = (record.working_doc() for record in read_corpus(args.before))
     after = (record.working_doc() for record in read_corpus(args.after))
-    references = None
-    if args.references:
-        reference_docs = {
-            record.id: record.summary_doc() for record in read_corpus(args.references)
-        }
-        # The two copies advance in lockstep inside eval_report, so tee
-        # buffers at most one document.
-        before, before_ids = itertools.tee(before)
-        references = _resolve_references(before_ids, reference_docs)
-    report = eval_report(before, after, references, repetition_threshold=args.threshold)
+    with contextlib.ExitStack() as stack:
+        references = None
+        if args.references:
+            # Indexed, and so validated, before any before/after line is read.
+            index = stack.enter_context(CorpusIndex(args.references))
+            # The two copies advance in lockstep inside eval_report, so tee
+            # buffers at most one document.
+            before, before_ids = itertools.tee(before)
+            references = _reference_docs(before_ids, index)
+        report = eval_report(before, after, references, repetition_threshold=args.threshold)
     if args.output:
         _write_json(args, report.to_dict())
     print(report.to_tsv())
     return 0
 
 
-def _resolve_references(
-    docs: Iterable[SummaryDoc], reference_docs: dict[str, SummaryDoc]
-) -> Iterator[SummaryDoc]:
-    """Pair each document with its reference; noise variant suffixes fall back to the base id."""
-    for source in docs:
-        doc = reference_docs.get(source.source_id)
-        if doc is None:
-            doc = reference_docs.get(_VARIANT_SUFFIX.sub("", source.source_id))
-        if doc is None:
-            raise AlignmentError(f"no reference for record {source.source_id!r}")
-        yield SummaryDoc(doc.sentences, source_id=source.source_id)
+def _reference_docs(docs: Iterable[SummaryDoc], index: CorpusIndex) -> Iterator[SummaryDoc]:
+    """Each document's reference summary: by its id, else by the id without a .vN suffix.
+
+    Consecutive documents with one reference, such as a record's noise
+    variants, share one parse of it.
+    """
+    reference = None
+    for doc in docs:
+        record_id = doc.source_id
+        if record_id not in index.offsets:
+            record_id = _VARIANT_SUFFIX.sub("", record_id)
+            if record_id not in index.offsets:
+                raise AlignmentError(f"no reference for record {doc.source_id!r}")
+        if reference is None or reference.source_id != record_id:
+            reference = index.record(record_id).summary_doc()
+        yield reference.relabeled(doc.source_id)
 
 
 # --- analyze -------------------------------------------------------------

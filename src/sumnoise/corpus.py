@@ -11,9 +11,15 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
-from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
+from .errors import (
+    CorpusChangedError,
+    DuplicateIdError,
+    EmptySentenceError,
+    MalformedRecordError,
+    SumnoiseError,
+)
 from .text import SummaryDoc, Value, make_document, split_sentences
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -59,33 +65,103 @@ def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
     repeated id raises DuplicateIdError. Iteration holds one record at a time
     (plus the set of seen ids).
     """
-    seen: set[str] = set()
-    # Binary lines, decoded one by one, so a decode error names its own line.
     with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise MalformedRecordError(line_number, f"invalid UTF-8: {error}") from error
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise MalformedRecordError(line_number, f"invalid JSON: {error}") from error
-            record = _validate_record(payload, line_number)
-            # Strict UTF-8 holds no surrogates, so only a \uD800-\uDFFF escape
-            # can leave a lone one; memchr for a backslash skips most lines.
-            if "\\" in line and _SURROGATE_ESCAPE.search(line):
-                try:
-                    record_to_line(record).encode("utf-8")
-                except UnicodeEncodeError as error:
-                    surrogate = error.object[error.start]
-                    raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
-            if record.id in seen:
-                raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
-            seen.add(record.id)
+        for _, record in _validated(handle):
             yield record
+
+
+class CorpusIndex:
+    """Records of a corpus file by id, holding only the byte offset of each line.
+
+    Building the index reads the whole file once, through the same validation
+    as ``read_corpus``, so a malformed line or a repeated id raises the same
+    error. ``record`` then seeks to a line and parses it again. A source that
+    cannot seek, such as a pipe, is copied into an unlinked temporary file as
+    it is read, and the index seeks in that copy.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self._handle = source = open(path, "rb")
+        try:
+            if source.seekable():
+                lines: Iterable[bytes] = source
+            else:
+                import tempfile  # only a pipe needs it
+
+                self._handle = tempfile.TemporaryFile()
+                lines = _copied(source, self._handle)
+            self.offsets = {record.id: offset for offset, record in _validated(lines)}
+        except BaseException:
+            self._handle.close()
+            raise
+        finally:
+            if self._handle is not source:
+                source.close()
+
+    def __enter__(self) -> CorpusIndex:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._handle.close()
+
+    def record(self, record_id: str) -> CorpusRecord:
+        """Parse the record with this id from its line again.
+
+        Raises CorpusChangedError when that line no longer holds a valid
+        record with this id.
+        """
+        self._handle.seek(self.offsets[record_id])
+        line = self._handle.readline()
+        try:
+            record = _validate_record(json.loads(line), 0)
+        except (ValueError, SumnoiseError):  # JSON and UTF-8 errors are ValueErrors
+            record = None
+        if record is None or record.id != record_id:
+            raise CorpusChangedError(
+                f"record {record_id!r} is no longer at byte {self.offsets[record_id]}; "
+                "the file changed while it was read"
+            )
+        return record
+
+
+def _copied(lines: Iterable[bytes], copy: IO[bytes]) -> Iterator[bytes]:
+    """Yield each line after writing it to ``copy``, so offsets hold in the copy."""
+    for raw in lines:
+        copy.write(raw)
+        yield raw
+
+
+def _validated(lines: Iterable[bytes]) -> Iterator[tuple[int, CorpusRecord]]:
+    """The one validating loop of every corpus read: each record with its line's byte offset."""
+    seen: set[str] = set()
+    offset = 0
+    # Binary lines, decoded one by one, so a decode error names its own line.
+    for line_number, raw in enumerate(lines, start=1):
+        start = offset
+        offset += len(raw)
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise MalformedRecordError(line_number, f"invalid UTF-8: {error}") from error
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise MalformedRecordError(line_number, f"invalid JSON: {error}") from error
+        record = _validate_record(payload, line_number)
+        # Strict UTF-8 holds no surrogates, so only a \uD800-\uDFFF escape
+        # can leave a lone one; memchr for a backslash skips most lines.
+        if "\\" in line and _SURROGATE_ESCAPE.search(line):
+            try:
+                record_to_line(record).encode("utf-8")
+            except UnicodeEncodeError as error:
+                surrogate = error.object[error.start]
+                raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
+        if record.id in seen:
+            raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
+        seen.add(record.id)
+        yield start, record
 
 
 def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:

@@ -50,6 +50,10 @@ class DuplicateIdError(SumnoiseError):
     """A corpus file repeats a record id."""
 
 
+class CorpusChangedError(SumnoiseError):
+    """A corpus file changed between two reads of it."""
+
+
 class AlignmentError(SumnoiseError):
     """Two corpus streams disagree on record ids."""
 

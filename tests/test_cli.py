@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import stat
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from sumnoise import noising
 from sumnoise.cli import cli_main
-from sumnoise.corpus import CorpusRecord, read_corpus, write_corpus
+from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
 
 PASSTHROUGH_CMD = f"{sys.executable} -c \"import sys; sys.stdout.write(sys.stdin.read())\""
 
@@ -485,6 +486,94 @@ def test_eval_with_references_rejects_longer_before(tmp_path, capsys):
     after.write_text(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
     assert cli_main(["eval", "-b", str(corpus), "-a", str(after), "-r", str(corpus)]) == 1
     assert "different lengths" in capsys.readouterr().err
+
+
+def noised_and_denoised(tmp_path, fixture_corpus, capsys):
+    noised = tmp_path / "noised.jsonl"
+    denoised = tmp_path / "denoised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "mixture", "--seed", "7"]) == 0
+    assert cli_main(["denoise", "-i", str(noised), "-o", str(denoised)]) == 0
+    capsys.readouterr()
+    return noised, denoised
+
+
+def eval_table(noised, denoised, references, capsys):
+    assert cli_main(["eval", "-b", str(noised), "-a", str(denoised), "-r", str(references)]) == 0
+    return capsys.readouterr().out
+
+
+def test_eval_references_in_any_order_give_the_same_table(tmp_path, fixture_corpus, capsys):
+    noised, denoised = noised_and_denoised(tmp_path, fixture_corpus, capsys)
+    lines = fixture_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    in_order = eval_table(noised, denoised, fixture_corpus, capsys)
+    assert eval_table(noised, denoised, shuffled, capsys) == in_order
+    # Blank and whitespace-only lines between the references shift no offset.
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + " \r\n".join(lines) + "\n\t\n", encoding="utf-8")
+    assert eval_table(noised, denoised, spaced, capsys) == in_order
+
+
+def test_eval_allows_unused_references(tmp_path, fixture_corpus, capsys):
+    noised, denoised = noised_and_denoised(tmp_path, fixture_corpus, capsys)
+    extra = tmp_path / "extra.jsonl"
+    extra.write_bytes(fixture_corpus.read_bytes())
+    with extra.open("a", encoding="utf-8") as handle:
+        for i in range(5):
+            handle.write(record_to_line(CorpusRecord(id=f"unused{i}", article=["a b."], summary=["c d."])) + "\n")
+    assert eval_table(noised, denoised, extra, capsys) == eval_table(noised, denoised, fixture_corpus, capsys)
+
+
+def test_eval_reads_references_from_a_pipe(tmp_path, fixture_corpus, capsys):
+    noised, denoised = noised_and_denoised(tmp_path, fixture_corpus, capsys)
+    fifo = tmp_path / "references"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(fixture_corpus.read_bytes()), daemon=True)
+    writer.start()
+    piped = eval_table(noised, denoised, fifo, capsys)
+    writer.join(timeout=10)
+    assert piped == eval_table(noised, denoised, fixture_corpus, capsys)
+    assert sorted(os.listdir(tmp_path)) == ["denoised.jsonl", "noised.jsonl", "references"]
+
+
+@pytest.mark.parametrize("order", ["base-first", "variant-first"])
+def test_eval_prefers_the_exact_reference_id_to_the_base_id(tmp_path, capsys, order):
+    before = tmp_path / "before.jsonl"
+    write_corpus([CorpusRecord(id="a.v0", article=["x y."], summary=["x y."], noisy=["one two three."])], before)
+    base = CorpusRecord(id="a", article=["x y."], summary=["four five six."])
+    variant = CorpusRecord(id="a.v0", article=["x y."], summary=["one two three."])
+    references = tmp_path / "references.jsonl"
+    write_corpus([base, variant] if order == "base-first" else [variant, base], references)
+    out = tmp_path / "report.json"
+    assert cli_main(["eval", "-b", str(before), "-a", str(before), "-r", str(references), "-o", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["systems"]
+    assert [row["rouge1"] for row in rows] == [100.0, 100.0]
+    capsys.readouterr()
+
+
+REFERENCE_ERRORS = {  # reference lines, with "t1" and "t2" standing for those records; message
+    "duplicate": (["t1", "t2", "t1"], "sumnoise: error: line 3: duplicate id 't1'\n"),
+    "invalid-json": (["t1", b"{nope"], "sumnoise: error: line 2: invalid JSON: "),
+    "not-utf8": (["t1", b"", b"\xff"], "sumnoise: error: line 3: invalid UTF-8: "),
+    "missing-summary": (["t2", b'{"id": "x", "article": ["a b."]}'], "sumnoise: error: line 2: missing 'summary'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_ERRORS))
+def test_eval_reports_a_bad_reference_corpus_before_reading_the_others(tmp_path, capsys, case):
+    corpus = tiny_corpus(tmp_path)
+    records = dict(zip(["t1", "t2"], corpus.read_bytes().splitlines()))
+    lines, message = REFERENCE_ERRORS[case]
+    references = tmp_path / "references.jsonl"
+    references.write_bytes(b"".join(records.get(line, line) + b"\n" for line in lines))
+    before = tmp_path / "before.jsonl"
+    before.write_bytes(records["t1"] + b"\n{broken\n")  # malformed further down
+    assert cli_main(["eval", "-b", str(before), "-a", str(corpus), "-r", str(references)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
-from sumnoise.errors import DuplicateIdError, MalformedRecordError
+from sumnoise.corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line, write_corpus
+from sumnoise.errors import CorpusChangedError, DuplicateIdError, MalformedRecordError
 
 
 def sample_records():
@@ -129,3 +129,46 @@ def test_docs_carry_record_id():
     record = sample_records()[0]
     assert record.article_doc().source_id == "r1"
     assert record.summary_doc().source_id == "r1"
+
+
+def test_index_offsets_point_at_their_lines_across_blank_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    first, second = (record_to_line(record) for record in sample_records())
+    path.write_bytes(f"\n  \r\n{first}\r\n\n{second}\n\n".encode("utf-8"))
+    data = path.read_bytes()
+    with CorpusIndex(path) as index:
+        assert list(index.offsets) == ["r1", "r2"]
+        for record_id, offset in index.offsets.items():
+            assert json.loads(data[offset:].split(b"\n", 1)[0])["id"] == record_id
+        assert [index.record(record_id) for record_id in ("r2", "r1")] == sample_records()[::-1]
+
+
+@pytest.mark.parametrize(
+    "tail, error",
+    [
+        (b"{nope\n", MalformedRecordError),
+        (b'{"id": "x"}\n', MalformedRecordError),
+        (b"\xff\n", MalformedRecordError),
+        (None, DuplicateIdError),
+    ],
+)
+def test_index_validates_as_read_corpus_does(tmp_path, tail, error):
+    path = tmp_path / "corpus.jsonl"
+    line = record_to_line(sample_records()[0]).encode("utf-8") + b"\n"
+    path.write_bytes(line + (line if tail is None else tail))
+    with pytest.raises(error) as from_index:
+        CorpusIndex(path)
+    with pytest.raises(error) as from_reader:
+        list(read_corpus(path))
+    assert str(from_index.value) == str(from_reader.value)
+
+
+def test_index_refuses_a_line_that_changed_after_indexing(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sample_records(), path)
+    with CorpusIndex(path) as index:
+        # Same length, so the offset of r2 still falls on a line start.
+        path.write_bytes(path.read_bytes().replace(b'"id":"r2"', b'"id":"r9"'))
+        assert index.record("r1") == sample_records()[0]
+        with pytest.raises(CorpusChangedError, match="'r2'"):
+            index.record("r2")

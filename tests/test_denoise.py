@@ -250,6 +250,15 @@ def test_external_lines_end_only_at_a_newline():
     assert [d.raw_sentences() for d in out] == [["alpha\rbeta", "gamma"], ["delta"]]
 
 
+def test_external_strips_whitespace_at_sentence_edges_and_keeps_the_tokens():
+    # The pieces between separators are stripped, which drops the spaces
+    # around " <S> "; so edge whitespace of a sentence does not survive cat.
+    docs = [make_document(["  one two  ", "\tthree four\u00a0"], source_id="ws")]
+    (out,) = external_denoise(docs, ["cat"])
+    assert out.raw_sentences() == ["one two", "three four"]
+    assert out.all_tokens == docs[0].all_tokens
+
+
 def test_external_error_from_the_documents_propagates_unwrapped():
     def docs():
         yield from docs_fixture()
