@@ -17,6 +17,7 @@ import os
 import re
 import stat
 import sys
+from collections import deque
 from typing import IO, Iterable, Iterator, Sequence
 
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
@@ -107,7 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     denoise.add_argument("-i", "--input", required=True)
     denoise.add_argument("-o", "--output", required=True)
     denoise.add_argument("--method", default="overlap", choices=["overlap", "external"])
-    denoise.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
+    denoise.add_argument(
+        "--threshold",
+        type=_unit_interval,
+        help=f"overlap threshold, --method overlap only (default {DEFAULT_OVERLAP_THRESHOLD})",
+    )
     denoise.add_argument(
         "--command", help="external denoiser command (required with --method external)"
     )
@@ -285,32 +290,33 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             argv = command_argv(args.command)
         except InvalidCommandError as error:
             raise UsageError(f"--command: {error}") from None
+        if args.threshold is not None:
+            raise UsageError("--threshold requires --method overlap")
     elif args.command is not None:
         raise UsageError("--command requires --method external")
+    threshold = DEFAULT_OVERLAP_THRESHOLD if args.threshold is None else args.threshold
     records = read_corpus(args.input)
     with _output(args) as out:
         if args.method == "overlap":
             for record in records:
-                result = overlap_denoise(record.working_doc(), args.threshold)
+                result = overlap_denoise(record.working_doc(), threshold)
                 out.write(_denoised_line(record, result.output, {
                     "method": "overlap",
-                    "threshold": args.threshold,
+                    "threshold": threshold,
                     "deleted_indices": list(result.deleted_indices),
                 }) + "\n")
             return 0
-        # The adapter's feeder thread reads the corpus; each record waits
-        # here until the command's line for it comes back.
-        from queue import SimpleQueue  # only this path needs it; see external_denoise
-
-        pending: SimpleQueue[CorpusRecord] = SimpleQueue()
+        # The adapter reads the corpus ahead of the command's output; each
+        # record waits here until the command's line for it comes back.
+        pending: deque[CorpusRecord] = deque()
 
         def docs() -> Iterator[SummaryDoc]:
             for record in records:
-                pending.put(record)
+                pending.append(record)
                 yield record.working_doc()
 
         for doc in external_denoise(docs(), argv):
-            out.write(_denoised_line(pending.get(), doc, {"method": "external"}) + "\n")
+            out.write(_denoised_line(pending.popleft(), doc, {"method": "external"}) + "\n")
     return 0
 
 

@@ -8,11 +8,14 @@ deleted sentences.
 External denoisers (for example trained rewriting models) plug in as a
 subprocess speaking a line protocol in UTF-8: one summary per line on stdin,
 sentences joined by the ``<S>`` separator token, and exactly one output line
-per input line, in order.
+per input line, in order. The adapter runs on one thread and needs POSIX
+pipes (``select.poll``).
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCommandError, InvalidThresholdError, ProtocolViolationError
@@ -20,6 +23,9 @@ from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .text import SummaryDoc, TokenizedSentence, cached_tokenize, has_tokens, unigram_overlap
 
 SENTENCE_SEPARATOR = "<S>"
+# Bytes of protocol lines the adapter queues ahead of the command: it reads
+# the next document only while less than this waits to be sent.
+_BLOCK = 64 * 1024
 
 
 class DenoiseResult(NamedTuple):
@@ -72,84 +78,108 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     Writes one UTF-8 line per document (sentences joined by
     ``SENTENCE_SEPARATOR``) to the command's stdin and yields one re-parsed
     document per output line. Sentences containing the separator or a newline
-    are rejected before their line is written. A missing, extra, unparseable
+    are rejected before their line is queued. A missing, extra, unparseable
     or non-UTF-8 output line raises ProtocolViolationError naming the
-    offending record. Writing happens on a feeder thread so the adapter works
-    with filters that buffer arbitrarily. An error raised while iterating
-    ``docs`` propagates as it is; only a failed write to the command becomes a
-    ProtocolViolationError. An empty or unsplittable command raises
-    InvalidCommandError (see ``command_argv``) on the first ``next``, before
-    any process starts.
+    offending record.
+
+    One thread does all the work: it queues lines until a block of bytes
+    waits to be sent, and ``select.poll`` tells it when the command can take
+    more input or has output ready. It never waits for a line's reply before
+    sending the next, and never blocks on a write, so it works both with
+    filters that answer line by line and with filters that read all their
+    input first.
+
+    An error raised while iterating ``docs``, or a failed write to the
+    command (a ProtocolViolationError), is held: no further document is
+    read, stdin is closed once the lines already queued are sent, and the
+    output lines still due are yielded, or raise their own error, before the
+    held error is raised. A last output line without a newline is still a
+    line. An empty or unsplittable command raises InvalidCommandError (see
+    ``command_argv``) on the first ``next``, before any process starts.
     """
     # Imported here, not at the top: only this path runs a process, and every
     # other subcommand would pay for them at start-up.
+    import select
     import subprocess
-    import threading
-    from queue import SimpleQueue
 
     argv = command_argv(command)
-    # Binary pipes, coded one line at a time, so that a line that is not
+    # Binary pipes, decoded one line at a time, so that a line that is not
     # UTF-8 is reported against its own record.
-    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
     assert proc.stdin is not None and proc.stdout is not None
-    pending: SimpleQueue[tuple[int, str] | None] = SimpleQueue()
-    feed_failure: list[Exception] = []
+    stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
+    os.set_blocking(stdin, False)
+    poller = select.poll()
+    poller.register(stdin, select.POLLOUT)
+    poller.register(stdout, select.POLLIN)
+    docs = iter(docs)
+    unsent = bytearray()  # queued lines the command has not taken yet
+    pending: deque[str] = deque()  # source ids of the queued lines still owed an output line
+    queued = 0  # lines queued so far
+    held: Exception | None = None
+    pulling = writing = reading = True
+    partial = b""  # output after the last newline
 
-    def feed() -> None:
-        index = 0
-        try:
-            for doc in docs:
-                for sent in doc.sentences:
-                    if SENTENCE_SEPARATOR in sent.raw:
-                        raise ProtocolViolationError(
-                            f"record {doc.source_id!r}: sentence contains "
-                            f"separator token {SENTENCE_SEPARATOR!r}"
-                        )
-                line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
-                if "\n" in line:
-                    raise ProtocolViolationError(
-                        f"record {doc.source_id!r}: sentence contains a newline, "
-                        "which would end its protocol line early"
-                    )
-                pending.put((index, doc.source_id))
-                try:
-                    proc.stdin.write(line.encode("utf-8") + b"\n")
-                    proc.stdin.flush()
-                except (OSError, ValueError) as error:  # a closed pipe, or text UTF-8 cannot hold
-                    raise ProtocolViolationError(
-                        f"failed writing to external command: {error}"
-                    ) from error
-                index += 1
-        except Exception as error:  # surfaced to the consumer below
-            feed_failure.append(error)
-        finally:
+    def pull() -> None:
+        """Queue documents while less than a block waits to be sent, or none is owed a line."""
+        nonlocal queued, held, pulling
+        while pulling and (len(unsent) < _BLOCK or not pending):
             try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            pending.put(None)
+                doc = next(docs)
+                unsent.extend(_protocol_line(doc))
+            except StopIteration:
+                pulling = False
+            except Exception as error:  # raised once the output still due is read
+                held, pulling = error, False
+            else:
+                pending.append(doc.source_id)
+                queued += 1
 
-    feeder = threading.Thread(target=feed, daemon=True)
-    feeder.start()
     try:
-        while (item := pending.get()) is not None:
-            index, source_id = item
-            line = proc.stdout.readline()
-            if line == b"":
-                feeder.join()
-                if feed_failure:
-                    raise feed_failure[0]
-                raise ProtocolViolationError(
-                    f"no output line for record {source_id!r} (input line {index})"
-                )
-            yield _parse_line(line, source_id)
-        feeder.join()
-        if feed_failure:
-            raise feed_failure[0]
-        extra = proc.stdout.readline()
-        if extra != b"":
+        while reading or writing:
+            pull()
+            if held is not None and not pending:
+                raise held
+            if writing and not pulling and not unsent:
+                poller.unregister(stdin)
+                proc.stdin.close()
+                writing = False
+                continue
+            for fd, _ in poller.poll():
+                if fd == stdin:
+                    try:
+                        del unsent[: os.write(stdin, unsent)]
+                    except BlockingIOError:
+                        pass
+                    except OSError as error:  # the command closed its stdin
+                        held = ProtocolViolationError(f"failed writing to external command: {error}")
+                        held.__cause__ = error
+                        pulling = False
+                        unsent.clear()
+                    continue
+                chunk = os.read(stdout, _BLOCK)
+                if chunk:
+                    lines = (partial + chunk).split(b"\n")
+                    partial = lines.pop()
+                    end = "\n"
+                else:
+                    poller.unregister(stdout)
+                    reading = False
+                    lines = [partial] if partial else []
+                    end = ""
+                for line in lines:
+                    if not pending:
+                        pull()
+                        if not pending:
+                            raise held or ProtocolViolationError(
+                                "external command emitted more lines than it was given"
+                            )
+                    yield _parse_line(line, pending.popleft(), end)
+        if held is not None:
+            raise held
+        if pending:
             raise ProtocolViolationError(
-                "external command emitted more lines than it was given"
+                f"no output line for record {pending[0]!r} (input line {queued - len(pending)})"
             )
         returncode = proc.wait()
         if returncode != 0:
@@ -157,23 +187,45 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
                 f"external command exited with status {returncode}"
             )
     finally:
+        proc.stdin.close()
         proc.stdout.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait()
 
 
-def _parse_line(raw_line: bytes, source_id: str) -> SummaryDoc:
+def _protocol_line(doc: SummaryDoc) -> bytes:
+    """The stdin line of ``doc``, newline included; refuses text the protocol cannot carry."""
+    for sent in doc.sentences:
+        if SENTENCE_SEPARATOR in sent.raw:
+            raise ProtocolViolationError(
+                f"record {doc.source_id!r}: sentence contains "
+                f"separator token {SENTENCE_SEPARATOR!r}"
+            )
+    line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
+    if "\n" in line:
+        raise ProtocolViolationError(
+            f"record {doc.source_id!r}: sentence contains a newline, "
+            "which would end its protocol line early"
+        )
+    try:
+        return line.encode("utf-8") + b"\n"
+    except UnicodeEncodeError as error:  # text UTF-8 cannot hold, such as a lone surrogate
+        raise ProtocolViolationError(f"failed writing to external command: {error}") from error
+
+
+def _parse_line(raw_line: bytes, source_id: str, end: str) -> SummaryDoc:
+    """The document of one output line; ``end`` is the newline that ended it, if any."""
     try:
         line = raw_line.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ProtocolViolationError(
             f"record {source_id!r}: output line is not valid UTF-8: {error}"
         ) from error
-    pieces = (piece.strip() for piece in line.rstrip("\n").split(SENTENCE_SEPARATOR))
+    pieces = (piece.strip() for piece in line.split(SENTENCE_SEPARATOR))
     sentences = tuple(map(cached_tokenize, filter(has_tokens, pieces)))
     if not sentences:
         raise ProtocolViolationError(
-            f"record {source_id!r}: unparseable output line {line!r}"
+            f"record {source_id!r}: unparseable output line {line + end!r}"
         )
     return SummaryDoc(sentences, source_id=source_id)

@@ -5,9 +5,12 @@ import json
 import os
 import random
 import re
+import shlex
 import stat
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from sumnoise.cli import cli_main
 from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
 
 PASSTHROUGH_CMD = f"{sys.executable} -c \"import sys; sys.stdout.write(sys.stdin.read())\""
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_corpus(tmp_path):
@@ -400,6 +404,74 @@ def test_denoise_external_protocol_violation_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def large_corpus(tmp_path):
+    """A corpus whose protocol lines add up to about 180 KiB, more than two pipe buffers."""
+    path = tmp_path / "large.jsonl"
+    write_corpus(
+        [
+            CorpusRecord(
+                id=f"t{i}",
+                article=["alpha beta gamma delta"],
+                summary=[f"record {i} says" + " alpha beta" * 5, " ".join(["gamma delta"] * 4)],
+            )
+            for i in range(1, 1501)
+        ],
+        path,
+    )
+    return path
+
+
+LINE_AT_A_TIME = (
+    "import sys\n"
+    "for line in iter(sys.stdin.readline, ''):\n"
+    "    sys.stdout.write(line)\n"
+    "    sys.stdout.flush()"
+)
+READ_ALL_FIRST = "import sys; sys.stdout.write(sys.stdin.read())"
+
+
+@pytest.mark.parametrize(
+    "script",
+    [pytest.param(LINE_AT_A_TIME, id="line-at-a-time"), pytest.param(READ_ALL_FIRST, id="read-all-first")],
+)
+def test_denoise_external_streams_through_either_filter_style(tmp_path, script):
+    # The adapter must keep writing while a batch filter reads everything
+    # first, and keep reading while a line filter answers each line at once;
+    # a deadlock in either fails on the timeout instead of hanging the run.
+    corpus = large_corpus(tmp_path)
+    assert sum(len(" <S> ".join(r.summary)) + 1 for r in read_corpus(corpus)) > 128 * 1024
+    out = tmp_path / "denoised.jsonl"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "sumnoise.cli", "denoise", "-i", str(corpus), "-o", str(out),
+            "--method", "external", "--command", f"{sys.executable} -c {shlex.quote(script)}",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert [(r.id, r.noisy) for r in read_corpus(out)] == [(r.id, r.summary) for r in read_corpus(corpus)]
+
+
+def test_denoise_external_reports_the_bad_output_line_before_the_failed_write(tmp_path, capsys):
+    # The command prints one line and exits without reading, so writing the
+    # rest of a large corpus fails. Its line still comes first: the failed
+    # write is held until the command's output ends. Repeated, because the
+    # order in which the two show up varies from run to run.
+    corpus = large_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    for _ in range(20):
+        code = cli_main([
+            "denoise", "-i", str(corpus), "-o", str(out), "--method", "external", "--command", "printf '\\377\\n'",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sumnoise: error: record 't1': output line is not valid UTF-8"), err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sh -c 'cat; exit 3'", "sh -c 'cat; echo extra'"])
 def test_denoise_external_failure_after_last_line_exits_one(tmp_path, capsys, command):
     # Every record gets its line back, so only the adapter's trailing checks
@@ -610,6 +682,10 @@ BAD_THRESHOLD_CASES = {
     "denoise-external": [
         "denoise", "-i", "{missing}", "-o", "{out}", "--method", "external", "--command", "cat",
         "--threshold", "1.5",
+    ],
+    "denoise-external-any-threshold": [
+        "denoise", "-i", "{missing}", "-o", "{out}", "--method", "external", "--command", "cat",
+        "--threshold", "0.5",
     ],
     "eval-nan": ["eval", "-b", "{missing}", "-a", "{missing}", "-o", "{out}", "--threshold", "nan"],
     "analyze-tau-match": ["analyze", "-b", "{missing}", "-a", "{missing}", "-o", "{out}", "--tau-match", "7"],

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -248,6 +249,23 @@ def test_external_lines_end_only_at_a_newline():
     docs = [make_document(["alpha\rbeta", "gamma"], source_id="cr"), make_document(["delta"], source_id="d")]
     out = list(external_denoise(docs, ["cat"]))
     assert [d.raw_sentences() for d in out] == [["alpha\rbeta", "gamma"], ["delta"]]
+
+
+def test_external_reads_a_last_line_without_a_newline():
+    # The command answers only after reading all input, and its one line has
+    # no trailing newline: the end of its output ends the line.
+    docs = [make_document(["alpha beta"], source_id="d1")]
+    out = list(external_denoise(docs, ["sh", "-c", 'cat >/dev/null; printf "x y <S> z"']))
+    assert [(d.source_id, d.raw_sentences()) for d in out] == [("d1", ["x y", "z"])]
+
+
+def test_external_starts_no_thread():
+    # The adapter writes and reads on the calling thread. (Input larger than
+    # the pipe buffers is tested in a child process, where a deadlock times out.)
+    docs = docs_fixture()
+    before = threading.active_count()
+    counts = [threading.active_count() for _ in external_denoise(docs, ["cat"])]
+    assert counts == [before] * len(docs)
 
 
 def test_external_strips_whitespace_at_sentence_edges_and_keeps_the_tokens():
