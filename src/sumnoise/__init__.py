@@ -6,6 +6,7 @@ from .analysis import (
     EvalReport,
     OperationDistribution,
     aggregate_operations,
+    aligned_pairs,
     classify_edit,
     eval_report,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "SumnoiseError",
     "TokenizedSentence",
     "aggregate_operations",
+    "aligned_pairs",
     "apply_extra",
     "apply_repeat",
     "apply_replace",

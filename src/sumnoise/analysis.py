@@ -12,7 +12,8 @@ modification).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlignmentError, EmptyCorpusError
 from .metrics import (
@@ -173,33 +174,40 @@ def aggregate_operations(
     return OperationDistribution(fractions=fractions, counts=counts, sample_count=total)
 
 
-def aligned_pairs(*streams: Iterable[SummaryDoc]) -> Iterator[tuple[SummaryDoc, ...]]:
-    """Zip document streams, insisting that record ids line up across all of them."""
-    sentinel = object()
-    iterators = [iter(stream) for stream in streams]
-    while True:
-        items = [next(it, sentinel) for it in iterators]
-        if all(item is sentinel for item in items):
-            return
-        if any(item is sentinel for item in items):
-            present = next(item for item in items if item is not sentinel)
+def aligned_pairs(
+    before: Iterable[SummaryDoc], after: Iterable[SummaryDoc]
+) -> Iterator[tuple[SummaryDoc, SummaryDoc]]:
+    """Zip a before and an after stream, insisting that their record ids line up.
+
+    Each step reads a before-document, then an after-document, then checks
+    them: a stream that ended alone raises AlignmentError naming the other's
+    record, and a pair with two ids raises AlignmentError naming both.
+    """
+    missing = object()
+    for before_doc, after_doc in zip_longest(before, after, fillvalue=missing):
+        # ``is``, not ``in``: a membership test would call Value.__eq__.
+        if before_doc is missing or after_doc is missing:
+            present = after_doc if before_doc is missing else before_doc
             raise AlignmentError(
                 f"streams have different lengths; unmatched record {present.source_id!r}"
             )
-        first = items[0].source_id
-        other = next((doc.source_id for doc in items if doc.source_id != first), None)
-        if other is not None:
-            raise AlignmentError(f"record ids diverge: {first!r} vs {other!r}")
-        yield tuple(items)
+        if before_doc.source_id != after_doc.source_id:
+            raise AlignmentError(
+                f"record ids diverge: {before_doc.source_id!r} vs {after_doc.source_id!r}"
+            )
+        yield before_doc, after_doc
 
 
 def eval_report(
-    before: Iterable[SummaryDoc],
-    after: Iterable[SummaryDoc],
-    references: Iterable[SummaryDoc] | None = None,
+    pairs: Iterable[tuple[SummaryDoc, SummaryDoc]],
+    references: Callable[[str], SummaryDoc] | None = None,
     repetition_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
 ) -> EvalReport:
-    """Build before/after metric rows over streams aligned by record id.
+    """Build before/after metric rows over a stream of (before, after) pairs.
+
+    ``pairs`` come as ``aligned_pairs`` yields them. ``references``, when
+    given, maps a record id to its reference summary; it is called once per
+    pair, after the pair is read and its ids checked.
 
     Each row reports mean ROUGE-1/2/L F1 against the references (when
     supplied), mean Repeat rate, mean sentence and token counts, and the
@@ -209,15 +217,15 @@ def eval_report(
         "before": MetricAccumulator(repetition_threshold),
         "after": MetricAccumulator(repetition_threshold),
     }
-    streams = [before, after] if references is None else [before, after, references]
-    for before_doc, after_doc, *reference in aligned_pairs(*streams):
-        scores = systems["before"].add(before_doc, *reference)
+    for before_doc, after_doc in pairs:
+        reference = None if references is None else references(before_doc.source_id)
+        scores = systems["before"].add(before_doc, reference)
         # Every score depends only on the sentences and the reference, so an
         # unchanged document adds the before-document's scores as they are.
         if after_doc.sentences == before_doc.sentences:
             systems["after"].add_scores(scores)
         else:
-            systems["after"].add(after_doc, *reference)
+            systems["after"].add(after_doc, reference)
     if systems["before"].records == 0:
         raise EmptyCorpusError("no records to evaluate")
     return EvalReport(

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
+import functools
 import json
 import os
 import re
 import stat
 import sys
 from collections import deque
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
@@ -214,10 +214,20 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _write_json(args: argparse.Namespace, payload: dict) -> None:
-    with _output(args) as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+def _report(args: argparse.Namespace, payload: dict, text: str) -> None:
+    """Write ``payload`` as JSON to the -o file, when there is one, then print ``text``."""
+    if args.output:
+        with _output(args) as handle:
+            json.dump(payload, handle, indent=2, ensure_ascii=False)
+            handle.write("\n")
+    print(text)
+
+
+def _pairs(args: argparse.Namespace) -> Iterator[tuple[SummaryDoc, SummaryDoc]]:
+    """The documents under study of the -b and -a corpora, paired by ``aligned_pairs``."""
+    before = (record.working_doc() for record in read_corpus(args.before))
+    after = (record.working_doc() for record in read_corpus(args.after))
+    return aligned_pairs(before, after)
 
 
 # --- noise ---------------------------------------------------------------
@@ -330,51 +340,38 @@ def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    before = (record.working_doc() for record in read_corpus(args.before))
-    after = (record.working_doc() for record in read_corpus(args.after))
-    with contextlib.ExitStack() as stack:
-        references = None
-        if args.references:
-            # Indexed, and so validated, before any before/after line is read.
-            index = stack.enter_context(CorpusIndex(args.references))
-            # The two copies advance in lockstep inside eval_report, so tee
-            # buffers at most one document.
-            before, before_ids = itertools.tee(before)
-            references = _reference_docs(before_ids, index)
-        report = eval_report(before, after, references, repetition_threshold=args.threshold)
-    if args.output:
-        _write_json(args, report.to_dict())
-    print(report.to_tsv())
+    # Indexed, and so validated, before any before/after line is read.
+    with CorpusIndex(args.references) if args.references else contextlib.nullcontext() as index:
+        references = None if index is None else _reference_lookup(index)
+        report = eval_report(_pairs(args), references, repetition_threshold=args.threshold)
+    _report(args, report.to_dict(), report.to_tsv())
     return 0
 
 
-def _reference_docs(docs: Iterable[SummaryDoc], index: CorpusIndex) -> Iterator[SummaryDoc]:
-    """Each document's reference summary: by its id, else by the id without a .vN suffix.
+def _reference_lookup(index: CorpusIndex) -> Callable[[str], SummaryDoc]:
+    """A record's reference summary: by its id, else by the id without a .vN suffix.
 
-    Consecutive documents with one reference, such as a record's noise
-    variants, share one parse of it.
+    The lookup raises AlignmentError for an id with neither; eval_report
+    calls it only once a pair's ids are checked, so a mismatch is reported
+    first. It keeps the last reference it parsed, so consecutive records
+    with one reference, such as a record's noise variants, share one parse.
     """
-    reference = None
-    for doc in docs:
-        record_id = doc.source_id
-        if record_id not in index.offsets:
-            record_id = _VARIANT_SUFFIX.sub("", record_id)
-            if record_id not in index.offsets:
-                raise AlignmentError(f"no reference for record {doc.source_id!r}")
-        if reference is None or reference.source_id != record_id:
-            reference = index.record(record_id).summary_doc()
-        yield reference.relabeled(doc.source_id)
+    parse = functools.lru_cache(maxsize=1)(lambda key: index.record(key).summary_doc())
+
+    def reference(record_id: str) -> SummaryDoc:
+        key = record_id if record_id in index.offsets else _VARIANT_SUFFIX.sub("", record_id)
+        if key not in index.offsets:
+            raise AlignmentError(f"no reference for record {record_id!r}")
+        return parse(key)
+
+    return reference
 
 
 # --- analyze -------------------------------------------------------------
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    before = (record.working_doc() for record in read_corpus(args.before))
-    after = (record.working_doc() for record in read_corpus(args.after))
-    distribution = aggregate_operations(
-        aligned_pairs(before, after), match_threshold=args.tau_match
-    )
+    distribution = aggregate_operations(_pairs(args), match_threshold=args.tau_match)
     payload = {
         "samples": distribution.sample_count,
         "tau_match": args.tau_match,
@@ -383,10 +380,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             kind.value: distribution.fractions[kind] for kind in distribution.fractions
         },
     }
-    if args.output:
-        _write_json(args, payload)
-    for kind, fraction in payload["fractions"].items():
-        print(f"{kind}\t{payload['counts'][kind]}\t{fraction:.4f}")
+    _report(args, payload, "\n".join(
+        f"{kind}\t{payload['counts'][kind]}\t{fraction:.4f}" for kind, fraction in payload["fractions"].items()
+    ))
     return 0
 
 
@@ -408,10 +404,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "repetitions_total": row.repetition_total,
         "repetition_threshold": args.threshold,
     }
-    if args.output:
-        _write_json(args, payload)
-    for key, value in payload.items():
-        print(f"{key}\t{value}")
+    _report(args, payload, "\n".join(f"{key}\t{value}" for key, value in payload.items()))
     return 0
 
 

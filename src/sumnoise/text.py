@@ -133,14 +133,6 @@ class SummaryDoc(FrozenValue):
     def raw_sentences(self) -> list[str]:
         return [sent.raw for sent in self.sentences]
 
-    def relabeled(self, source_id: str) -> SummaryDoc:
-        """The same sentences under another record id, sharing the flattened tokens."""
-        if source_id == self.source_id:
-            return self
-        doc = SummaryDoc(self.sentences, source_id=source_id)
-        object.__setattr__(doc, "_all_tokens", self.all_tokens)
-        return doc
-
 
 def tokenize(raw: str) -> TokenizedSentence:
     """Turn one sentence string into its lowercase unigram tokens.

@@ -540,7 +540,23 @@ def test_eval_missing_reference_is_an_error(tmp_path, capsys):
     other = tmp_path / "other.jsonl"
     write_corpus([CorpusRecord(id="zz", article=["a b"], summary=["a b"])], other)
     assert cli_main(["eval", "-b", str(corpus), "-a", str(corpus), "-r", str(other)]) == 1
-    assert "t1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "sumnoise: error: no reference for record 't1'\n"
+
+
+@pytest.mark.parametrize("after_ids, message", [
+    (["t1", "t2"], "record ids diverge: 'zz' vs 't2'"),
+    (["t1"], "streams have different lengths; unmatched record 'zz'"),
+], ids=["diverging-ids", "shorter-after"])
+def test_eval_checks_record_ids_before_looking_up_the_reference(tmp_path, capsys, after_ids, message):
+    corpus = tiny_corpus(tmp_path)
+    records = {record.id: record for record in read_corpus(corpus)}
+    before = tmp_path / "before.jsonl"
+    after = tmp_path / "after.jsonl"
+    # The before record 'zz' has no reference either.
+    write_corpus([records["t1"], CorpusRecord(id="zz", article=["a b."], summary=["a b."])], before)
+    write_corpus([records[record_id] for record_id in after_ids], after)
+    assert cli_main(["eval", "-b", str(before), "-a", str(after), "-r", str(corpus)]) == 1
+    assert capsys.readouterr().err == f"sumnoise: error: {message}\n"
 
 
 def test_eval_with_references_reports_malformed_before_line(tmp_path, capsys):
