@@ -185,7 +185,7 @@ def aligned_pairs(
     """
     missing = object()
     for before_doc, after_doc in zip_longest(before, after, fillvalue=missing):
-        # ``is``, not ``in``: a membership test would call Value.__eq__.
+        # ``is``, not ``in``: a membership test would call SummaryDoc.__eq__.
         if before_doc is missing or after_doc is missing:
             present = after_doc if before_doc is missing else before_doc
             raise AlignmentError(

@@ -23,7 +23,9 @@ from typing import IO, Callable, Iterator, Sequence
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
 from .denoise import command_argv, external_denoise, overlap_denoise
-from .errors import AlignmentError, EmptyCorpusError, InvalidCommandError, InvalidDistributionError, SumnoiseError
+from .errors import (
+    AlignmentError, EmptyCorpusError, EmptySentenceError, InvalidCommandError, InvalidDistributionError, SumnoiseError,
+)
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
@@ -36,7 +38,7 @@ from .noising import (
     identity_paraphrase,
     make_noisy_record,
 )
-from .text import SummaryDoc, has_tokens, tokenize
+from .text import SummaryDoc, has_tokens
 
 _VARIANT_SUFFIX = re.compile(r"\.v\d+$")
 
@@ -247,14 +249,13 @@ def cmd_noise(args: argparse.Namespace) -> int:
                     # Repeat never reads the article, but a record whose article
                     # has a sentence without tokens is skipped on every type.
                     article = None
-                    for raw in record.article:
-                        if not has_tokens(raw):
-                            tokenize(raw)  # raises the error article_doc() would
+                    if not all(map(has_tokens, record.article)):
+                        record.article_doc()  # raises the error the other types do
                 else:
                     article = record.article_doc()
                 clean = record.summary_doc()
-            except SumnoiseError as error:
-                print(f"sumnoise: skipped record {record.id!r}: {error}", file=sys.stderr)
+            except EmptySentenceError as error:  # its message names the record
+                print(f"sumnoise: skipped {error}", file=sys.stderr)
                 skipped += 1
                 continue
             alignment = None if article is None else Alignment(clean, article)
@@ -331,9 +332,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
-    record.noisy = doc.raw_sentences()
-    record.provenance = {**(record.provenance or {}), "denoise": details}
-    return record_to_line(record)
+    provenance = {**(record.provenance or {}), "denoise": details}
+    return record_to_line(record._replace(noisy=doc.raw_sentences(), provenance=provenance))
 
 
 # --- eval ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 from .errors import (
     CorpusChangedError,
@@ -20,41 +20,36 @@ from .errors import (
     MalformedRecordError,
     SumnoiseError,
 )
-from .text import SummaryDoc, Value, make_document, split_sentences
+from .text import SummaryDoc, make_document, split_sentences
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-class CorpusRecord(Value):
-    """One corpus line. Mutable: denoise rewrites ``noisy`` and ``provenance`` in place."""
+class CorpusRecord(NamedTuple):
+    """One corpus line. A ``typing.NamedTuple``: ``_replace`` gives a copy with other fields."""
 
-    __slots__ = _fields = ("id", "article", "summary", "noisy", "provenance")
-    __hash__ = None  # mutable, so unhashable
-
-    def __init__(
-        self,
-        id: str,
-        article: list[str],
-        summary: list[str],
-        noisy: list[str] | None = None,
-        provenance: dict[str, Any] | None = None,
-    ) -> None:
-        self.id = id
-        self.article = article
-        self.summary = summary
-        self.noisy = noisy
-        self.provenance = provenance
+    id: str
+    article: list[str]
+    summary: list[str]
+    noisy: list[str] | None = None
+    provenance: dict[str, Any] | None = None
 
     def article_doc(self) -> SummaryDoc:
-        return make_document(self.article, source_id=self.id)
+        return self._document(self.article)
 
     def summary_doc(self) -> SummaryDoc:
-        return make_document(self.summary, source_id=self.id)
+        return self._document(self.summary)
 
     def working_doc(self) -> SummaryDoc:
         """The summary under study: the noisy text when present, else the clean one."""
-        sentences = self.noisy if self.noisy is not None else self.summary
-        return make_document(sentences, source_id=self.id)
+        return self._document(self.summary if self.noisy is None else self.noisy)
+
+    def _document(self, sentences: list[str]) -> SummaryDoc:
+        """``make_document`` of one field; a sentence without tokens raises an error naming the record."""
+        try:
+            return make_document(sentences, source_id=self.id)
+        except EmptySentenceError as error:
+            raise EmptySentenceError(f"record {self.id!r}: {error}") from error
 
 
 def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
@@ -172,15 +167,8 @@ def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
 
 
 def record_to_line(record: CorpusRecord) -> str:
-    payload: dict[str, Any] = {
-        "id": record.id,
-        "article": record.article,
-        "summary": record.summary,
-    }
-    if record.noisy is not None:
-        payload["noisy"] = record.noisy
-    if record.provenance is not None:
-        payload["provenance"] = record.provenance
+    """One JSON line of the record's fields, in declared order, without those that are None."""
+    payload = {name: value for name, value in zip(record._fields, record) if value is not None}
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -224,4 +212,4 @@ def _sentence_list(
         raise MalformedRecordError(
             line_number, f"'{field}' contains an empty or non-string sentence"
         )
-    return list(value)
+    return value

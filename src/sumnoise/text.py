@@ -38,14 +38,16 @@ _ABBREVIATIONS = frozenset({
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])[\"')\]]*\s+")
 
 
-class Value:
-    """Base of the slotted record classes.
+class FrozenValue:
+    """Base of the slotted record classes that validate their input or build fields lazily.
 
     A subclass lists its constructor fields, in order, in ``_fields`` and its
-    storage in ``__slots__``. Objects compare, hash, print and pickle as the
-    tuple of their fields. (``dataclasses`` would generate the same, but
-    importing it loads ``inspect``, ``ast`` and ``dis``, and every subcommand
-    would pay for them at start-up.)
+    storage in ``__slots__``, and its ``__init__`` sets each slot once,
+    through ``object.__setattr__``; assigning or deleting an attribute
+    afterwards raises AttributeError. Objects compare, hash, print and pickle
+    as the tuple of their fields. (``dataclasses`` would generate the same,
+    but importing it loads ``inspect``, ``ast`` and ``dis``, and every
+    subcommand would pay for them at start-up.)
     """
 
     __slots__ = ()
@@ -68,15 +70,6 @@ class Value:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
-
-
-class FrozenValue(Value):
-    """A Value whose ``__init__`` sets each slot once, through ``object.__setattr__``.
-
-    Assigning or deleting an attribute afterwards raises AttributeError.
-    """
-
-    __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")

@@ -258,6 +258,38 @@ def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, caps
     assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
 
 
+# Every run but noise fails on a sentence without tokens, naming its record.
+# The bad record's summary is the one -r reads, its noisy text the one the
+# others read.
+UNTOKENIZABLE_RUNS = {
+    "denoise": (["denoise", "-i", "{bad}", "-o", "{out}"], "?!"),
+    "denoise-external": (["denoise", "-i", "{bad}", "-o", "{out}", "--method", "external", "--command", "cat"], "?!"),
+    "eval-before": (["eval", "-b", "{bad}", "-a", "{good}", "-o", "{out}"], "?!"),
+    "eval-after": (["eval", "-b", "{good}", "-a", "{bad}", "-o", "{out}"], "?!"),
+    "eval-references": (["eval", "-b", "{good}", "-a", "{good}", "-r", "{bad}", "-o", "{out}"], "..."),
+    "analyze": (["analyze", "-b", "{good}", "-a", "{bad}", "-o", "{out}"], "?!"),
+    "stats": (["stats", "-i", "{bad}", "-o", "{out}"], "?!"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTOKENIZABLE_RUNS))
+def test_sentence_without_tokens_fails_the_run_naming_the_record(tmp_path, capsys, case):
+    template, sentence = UNTOKENIZABLE_RUNS[case]
+    good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
+    ok = CorpusRecord(id="ok", article=["alpha beta"], summary=["alpha beta"])
+    write_corpus([ok, CorpusRecord(id="a1", article=["gamma delta"], summary=["gamma delta"])], good)
+    write_corpus([
+        ok,
+        CorpusRecord(id="a1", article=["gamma delta"], summary=["gamma delta", "..."], noisy=["gamma delta", "?!"]),
+    ], bad)
+    argv = [arg.format(good=good, bad=bad, out=out) for arg in template]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sumnoise: error: record 'a1': no tokens in sentence: {sentence!r}\n"
+    assert not out.exists()
+
+
 VARIANT_SKIPS = {
     # One noisy sentence, but the article's one sentence is the summary's match.
     "extra": (

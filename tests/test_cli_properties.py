@@ -1,4 +1,4 @@
-"""Properties of `eval` and `analyze` over generated corpora, run in-process through ``cli_main``."""
+"""Properties of the subcommands over generated corpora, run in-process through ``cli_main``."""
 
 from __future__ import annotations
 
@@ -6,12 +6,14 @@ import contextlib
 import io
 import json
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumnoise.cli import cli_main
+from sumnoise.corpus import read_corpus
 from sumnoise.text import _EDGE_CHARS
 
 NBSP = "\u00a0"
@@ -26,12 +28,17 @@ sentences = st.integers(0, 19).flatmap(lambda n: st.text(_EDGE_CHARS, min_size=1
 # A field is a list of sentences or running text, which is split on read.
 fields = st.lists(sentences, min_size=1, max_size=3) | st.lists(sentences, min_size=1, max_size=3).map(" ".join)
 variant_ids = st.tuples(st.sampled_from(BASE_IDS), st.sampled_from(["", ".v0", ".v1", ".v12"])).map("".join)
+provenances = st.dictionaries(st.sampled_from(["seed", "noise_type", "denoise"]), st.integers(0, 9), max_size=2)
 
 
-def records(ids):
+def records(ids, **optional):
     return st.fixed_dictionaries(
-        {"id": ids, "article": fields, "summary": fields}, optional={"noisy": fields}
+        {"id": ids, "article": fields, "summary": fields}, optional={"noisy": fields, **optional}
     )
+
+
+def corpora(**optional):
+    return st.lists(records(variant_ids, **optional), max_size=5, unique_by=lambda record: record["id"])
 
 
 def write_jsonl(path, corpus):
@@ -39,15 +46,24 @@ def write_jsonl(path, corpus):
 
 
 def run(*argv):
+    argv = [str(arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([str(arg) for arg in argv])
+        code = cli_main(argv)
     # A traceback would have propagated out of cli_main and failed the example.
     assert code in (0, 1, 2)
     if code:
+        *skips, error = err.getvalue().splitlines()
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("sumnoise: error: ")
+        assert error.startswith("sumnoise: error: ")
+        # Only noise reports, before the error, the records it skipped.
+        assert all(argv[0] == "noise" and line.startswith("sumnoise: skipped record ") for line in skips)
+        assert "-o" not in argv or not Path(argv[argv.index("-o") + 1]).exists()
     return code, out.getvalue()
+
+
+def tokens(doc):
+    return [sentence.tokens for sentence in doc.sentences]
 
 
 def assert_rows_equal_but_for_system(table):
@@ -59,7 +75,7 @@ def assert_rows_equal_but_for_system(table):
 
 @settings(derandomize=True, max_examples=75, deadline=None)
 @given(
-    st.lists(records(variant_ids), max_size=5, unique_by=lambda record: record["id"]),
+    corpora(),
     st.lists(records(st.sampled_from(BASE_IDS)), min_size=2, max_size=3, unique_by=lambda record: record["id"]),
 )
 def test_eval_and_analyze_of_a_corpus_against_itself(corpus, base_references):
@@ -90,3 +106,43 @@ def check_corpus_against_itself(directory, corpus, base_references):
     code, lines = run("analyze", "-b", corpus_path, "-a", corpus_path)
     if code == 0:
         assert f"no_change\t{len(corpus)}\t1.0000" in lines.splitlines()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(corpora(), st.sampled_from(["0", "0.5", "0.8", "1"]))
+def test_overlap_denoise_of_its_own_output_changes_no_noisy_field(corpus, threshold):
+    with tempfile.TemporaryDirectory() as directory:
+        corpus_path, once, twice = (Path(directory) / name for name in ("x.jsonl", "once.jsonl", "twice.jsonl"))
+        write_jsonl(corpus_path, corpus)
+        code, _ = run("denoise", "-i", corpus_path, "-o", once, "--threshold", threshold)
+        if code == 0:
+            assert run("denoise", "-i", once, "-o", twice, "--threshold", threshold)[0] == 0
+            assert [record.noisy for record in read_corpus(twice)] == [record.noisy for record in read_corpus(once)]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(corpora(), st.sampled_from(["repeat", "replace", "extra", "mixture"]))
+def test_noise_that_corrupts_no_sentence_writes_each_summary_as_it_is(corpus, noise_type):
+    with tempfile.TemporaryDirectory() as directory:
+        corpus_path, noised = Path(directory) / "x.jsonl", Path(directory) / "noised.jsonl"
+        write_jsonl(corpus_path, corpus)
+        code, _ = run("noise", "-i", corpus_path, "-o", noised, "--type", noise_type, "--dist", "1")
+        if code == 0:
+            for record in read_corpus(noised):
+                assert record.noisy == record.summary
+                assert record.provenance["noised_indices"] == []
+
+
+# Each example starts a process.
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(corpora(provenance=provenances))
+def test_external_cat_denoise_adds_only_its_provenance_and_keeps_the_tokens(corpus):
+    with tempfile.TemporaryDirectory() as directory:
+        corpus_path, denoised = Path(directory) / "x.jsonl", Path(directory) / "denoised.jsonl"
+        write_jsonl(corpus_path, corpus)
+        code, _ = run("denoise", "-i", corpus_path, "-o", denoised, "--method", "external", "--command", "cat")
+        if code == 0:
+            for before, after in zip_longest(read_corpus(corpus_path), read_corpus(denoised)):
+                assert after[:3] == before[:3]  # id, article and summary
+                assert after.provenance == {**(before.provenance or {}), "denoise": {"method": "external"}}
+                assert tokens(after.working_doc()) == tokens(before.working_doc())

@@ -30,6 +30,7 @@ def _row(system="before"):
 # A factory that returns a new object with the same field values on every
 # call, and one of the object's fields.
 FROZEN = {
+    "CorpusRecord": (lambda: CorpusRecord("r1", ["An article."], ["A summary."], ["Noisy."], {"k": 1}), "noisy"),
     "TokenizedSentence": (_sentence, "tokens"),
     "SummaryDoc": (_doc, "source_id"),
     "NoiseDistribution": (lambda: NoiseDistribution((0.25, 0.75)), "probs"),
@@ -44,8 +45,9 @@ FROZEN = {
     "SystemReport": (_row, "rouge_l"),
     "EvalReport": (lambda: EvalReport((_row("before"), _row("after"))), "rows"),
 }
-# OperationDistribution holds dicts, so it has value equality but no hash.
-UNHASHABLE = {"OperationDistribution"}
+# CorpusRecord holds lists and OperationDistribution dicts, so they have value
+# equality but no hash.
+UNHASHABLE = {"CorpusRecord", "OperationDistribution"}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -105,18 +107,16 @@ def test_derived_fields_are_computed_once_and_are_frozen_too():
         sentence.no_such_field
 
 
-def test_corpus_record_is_mutable_and_compares_by_value():
-    def record():
-        return CorpusRecord("r1", ["An article."], ["A summary."])
-
-    a = record()
-    assert a == record()
-    assert a.noisy is None and a.provenance is None
-    a.noisy = ["Noisy text."]
-    a.provenance = {"k": 1}
-    assert a != record()
-    assert a == CorpusRecord("r1", ["An article."], ["A summary."], ["Noisy text."], {"k": 1})
-    assert a == CorpusRecord(
+def test_corpus_record_is_a_named_tuple_and_replace_gives_a_copy():
+    record = CorpusRecord("r1", ["An article."], ["A summary."])
+    assert record.noisy is None and record.provenance is None
+    assert record == ("r1", ["An article."], ["A summary."], None, None)
+    assert len(record) == 5
+    record_id, article, *_ = record
+    assert (record_id, article) == ("r1", ["An article."])
+    noised = record._replace(noisy=["Noisy text."], provenance={"k": 1})
+    assert record.noisy is None and record.provenance is None
+    assert noised != record
+    assert noised == CorpusRecord(
         id="r1", article=["An article."], summary=["A summary."], noisy=["Noisy text."], provenance={"k": 1}
     )
-
