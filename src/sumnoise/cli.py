@@ -4,7 +4,9 @@ Every subcommand is deterministic: noise derives record-level seeds from
 --seed and the record ids, and all serialization uses a fixed field order.
 An -o file appears only when its run succeeds, and never replaces one of the
 run's inputs. Exit codes: 0 on success, 1 on a processing error (with a
-diagnostic on stderr), 2 on usage errors.
+diagnostic on stderr), 2 on usage errors, and 128 plus the signal number
+when SIGINT (130) or SIGTERM (143) ends the run; the temporary file of an -o
+output and an external denoiser's process are removed first.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import json
 import os
 import re
+import signal
 import stat
 import sys
 from collections import deque
@@ -165,8 +168,28 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+class _Terminated(BaseException):
+    """Raised in the main thread when SIGTERM arrives.
+
+    Not an Exception, like KeyboardInterrupt for SIGINT: no ``except
+    Exception`` holds it back (the external denoiser adapter holds those
+    until its output is read), and every ``finally`` on the way out runs.
+    """
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise _Terminated()
+
+
 def main() -> None:
-    sys.exit(cli_main())
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = cli_main()
+    except (KeyboardInterrupt, _Terminated) as stop:
+        signum = signal.SIGINT if isinstance(stop, KeyboardInterrupt) else signal.SIGTERM
+        print(f"sumnoise: error: interrupted by {signum.name}", file=sys.stderr)
+        code = 128 + signum
+    sys.exit(code)
 
 
 @contextlib.contextmanager

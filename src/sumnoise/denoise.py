@@ -179,7 +179,7 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
             raise held
         if pending:
             raise ProtocolViolationError(
-                f"no output line for record {pending[0]!r} (input line {queued - len(pending)})"
+                f"no output line for record {pending[0]!r} (input line {queued - len(pending) + 1})"
             )
         returncode = proc.wait()
         if returncode != 0:

@@ -7,15 +7,18 @@ absolute values are only meaningful relative to each other, not to scores
 from other toolkits. ROUGE-L's longest common subsequence is computed
 bit-parallel, with Python ints as bit vectors; the tests check it for exact
 agreement with a quadratic-table oracle.
+
+The tables ROUGE reads from a document, its n-gram counts and its LCS match
+masks, are built by the ``SummaryDoc`` on first use and kept with it, so a
+reference scored against several candidates is counted once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidThresholdError
-from .text import SummaryDoc, unigram_overlap
+from .text import SummaryDoc
 
 DEFAULT_OVERLAP_THRESHOLD = 0.8
 
@@ -68,21 +71,26 @@ def rouge_n(candidate: SummaryDoc, reference: SummaryDoc, n: int) -> RougeScore:
         raise ValueError(f"n must be positive, got {n}")
     cand_total = max(len(candidate.all_tokens) - n + 1, 0)
     ref_total = max(len(reference.all_tokens) - n + 1, 0)
-    cand_counts = _ngram_counts(candidate.all_tokens, n)
-    ref_counts = _ngram_counts(reference.all_tokens, n)
-    # The clipped match count, summed over the side with fewer distinct
-    # n-grams; cheaper than building the Counter ``cand_counts & ref_counts``.
-    if len(cand_counts) <= len(ref_counts):
-        small, large = cand_counts, ref_counts
+    cand_counts = candidate.ngram_counts(n)
+    ref_counts = reference.ngram_counts(n)
+    if len(cand_counts) == cand_total or len(ref_counts) == ref_total:
+        # One side holds each of its n-grams once, so every common n-gram
+        # clips to a count of 1.
+        match = len(cand_counts.keys() & ref_counts.keys())
     else:
-        small, large = ref_counts, cand_counts
-    match = sum([min(count, large.get(gram, 0)) for gram, count in small.items()])
+        # The clipped match count, summed over the side with fewer distinct
+        # n-grams; cheaper than building the Counter ``cand_counts & ref_counts``.
+        if len(cand_counts) <= len(ref_counts):
+            small, large = cand_counts, ref_counts
+        else:
+            small, large = ref_counts, cand_counts
+        match = sum([min(count, large.get(gram, 0)) for gram, count in small.items()])
     return RougeScore.from_counts(match, cand_total, ref_total)
 
 
 def rouge_l(candidate: SummaryDoc, reference: SummaryDoc) -> RougeScore:
     """Longest-common-subsequence F1 over the flattened token sequences."""
-    lcs = _lcs_length(candidate.all_tokens, reference.all_tokens)
+    lcs = _lcs_length(candidate.all_tokens, reference.match_masks(), len(reference.all_tokens))
     return RougeScore.from_counts(lcs, len(candidate.all_tokens), len(reference.all_tokens))
 
 
@@ -95,9 +103,16 @@ def repetition_count(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHO
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThresholdError(f"threshold must be in [0, 1], got {threshold}")
     count = 0
-    for i, sent in enumerate(doc.sentences):
-        if any(unigram_overlap(sent, doc.sentences[j]) > threshold for j in range(i)):
-            count += 1
+    earlier: list[frozenset[str]] = []
+    for sent in doc.sentences:
+        types = sent.token_types
+        # unigram_overlap(sent, other) > threshold, inlined: the same
+        # expression, so a score at the boundary compares the same.
+        for other in earlier:
+            if len(types & other) / len(types) > threshold:
+                count += 1
+                break
+        earlier.append(types)
     return count
 
 
@@ -106,25 +121,20 @@ def summary_stats(doc: SummaryDoc) -> tuple[int, int]:
     return len(doc), len(doc.all_tokens)
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _lcs_length(xs: Sequence[str], masks: dict[str, int], length: int) -> int:
+    """LCS length of ``xs`` and ``ys`` by the bit-parallel algorithm (Allison & Dix 1986; Hyyrö 2004).
 
-
-def _lcs_length(xs: Sequence[str], ys: Sequence[str]) -> int:
-    """LCS length by the bit-parallel algorithm (Allison & Dix 1986; Hyyrö 2004).
-
-    ``v`` encodes one row of the LCS table for the prefix of ``xs`` seen so
-    far: bit j is clear where that row steps up at column j, so the length is
-    the count of clear bits. Python ints serve as bit vectors of any length.
+    ``ys`` comes as its ``length`` and its ``masks``, which map each token to
+    the bits of its positions in ``ys`` (``SummaryDoc.match_masks``). ``v``
+    encodes one row of the LCS table for the prefix of ``xs`` seen so far:
+    bit j is clear where that row steps up at column j, so the length is the
+    count of clear bits. Python ints serve as bit vectors of any length.
     """
-    masks: dict[str, int] = {}
-    for j, y in enumerate(ys):
-        masks[y] = masks.get(y, 0) | (1 << j)
-    full = (1 << len(ys)) - 1
+    full = (1 << length) - 1
     v = full
     for x in xs:
         m = masks.get(x)
         if m:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len(ys) - v.bit_count()
+    return length - v.bit_count()

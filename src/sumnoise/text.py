@@ -14,6 +14,7 @@ ends of each unit. No stemming, no stopword removal.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable
 
@@ -102,7 +103,7 @@ class TokenizedSentence(FrozenValue):
 class SummaryDoc(FrozenValue):
     """An ordered sequence of at least one sentence, with an opaque record identifier."""
 
-    __slots__ = ("sentences", "source_id", "_all_tokens")
+    __slots__ = ("sentences", "source_id", "_all_tokens", "_tables")
     _fields = ("sentences", "source_id")
 
     def __init__(self, sentences: tuple[TokenizedSentence, ...], source_id: str = "") -> None:
@@ -111,6 +112,10 @@ class SummaryDoc(FrozenValue):
         object.__setattr__(self, "sentences", sentences)
         object.__setattr__(self, "source_id", source_id)
         object.__setattr__(self, "_all_tokens", None)
+        # The ROUGE tables of ``ngram_counts`` and ``match_masks``, keyed by n
+        # and by 0 for the masks. Not a field: equality, hash, repr and pickle
+        # ignore it.
+        object.__setattr__(self, "_tables", None)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -122,6 +127,44 @@ class SummaryDoc(FrozenValue):
             tokens = tuple(token for sent in self.sentences for token in sent.tokens)
             object.__setattr__(self, "_all_tokens", tokens)
         return self._all_tokens
+
+    def ngram_counts(self, n: int) -> Counter:
+        """How often each n-gram of ``all_tokens`` occurs; built on first use for each ``n``.
+
+        A unigram is keyed by the token itself, a longer n-gram by a tuple of
+        tokens. A reference scored against several candidates counts once.
+        """
+        tables = self._table_dict()
+        counts = tables.get(n)
+        if counts is None:
+            tokens = self.all_tokens
+            if n == 1:
+                counts = Counter(tokens)
+            elif n == 2:
+                counts = Counter(zip(tokens, tokens[1:]))
+            else:
+                counts = Counter(zip(*(tokens[i:] for i in range(n))))
+            tables[n] = counts
+        return counts
+
+    def match_masks(self) -> dict[str, int]:
+        """Each token's positions in ``all_tokens`` as the bits of an int; built on first use.
+
+        This is the match table of the bit-parallel LCS in ``metrics``.
+        """
+        tables = self._table_dict()
+        masks = tables.get(0)
+        if masks is None:
+            masks = {}
+            for j, token in enumerate(self.all_tokens):
+                masks[token] = masks.get(token, 0) | (1 << j)
+            tables[0] = masks
+        return masks
+
+    def _table_dict(self) -> dict:
+        if self._tables is None:
+            object.__setattr__(self, "_tables", {})
+        return self._tables
 
     def raw_sentences(self) -> list[str]:
         return [sent.raw for sent in self.sentences]
@@ -143,10 +186,11 @@ def tokenize(raw: str) -> TokenizedSentence:
 
 
 # Strings recur within a few documents of each other: a record's noised
-# variants, a before/after pair, the lines an external denoiser sends back.
-# So a small memo of recent strings catches the reuse without growing peak
-# RSS; equal strings then share one immutable TokenizedSentence. Errors are
-# not cached, so an untokenizable string raises on every call.
+# variants, a before/after pair. So a small memo of recent strings catches
+# the reuse without growing peak RSS; equal strings then share one immutable
+# TokenizedSentence. Errors are not cached, so an untokenizable string raises
+# on every call. The lines an external denoiser sends back mostly miss: the
+# adapter queues up to 64 KB of input ahead of them, hundreds of records.
 SENTENCE_CACHE_SIZE = 64
 cached_tokenize = lru_cache(maxsize=SENTENCE_CACHE_SIZE)(tokenize)
 

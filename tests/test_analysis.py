@@ -254,6 +254,24 @@ def test_eval_report_rows_equal_scoring_each_side_on_its_own(pairs, with_referen
     assert report.rows == tuple(expected)
 
 
+def test_eval_report_rows_do_not_depend_on_sharing_the_reference_object():
+    # A record's noise variants share one reference, whose ROUGE tables are
+    # built on its first use; a fresh, equal reference per call builds them
+    # every time.
+    noised = noised_records(20)
+    assert len(noised) > len({n.source_id for n in noised})
+    clean = {n.source_id: n.clean for n in noised}
+
+    def report(references):
+        before = [SummaryDoc(n.noisy.sentences, n.source_id) for n in noised]
+        after = [overlap_denoise(doc).output for doc in before]
+        return eval_report(aligned_pairs(before, after), references)
+
+    shared = report(clean.__getitem__)
+    assert shared.rows == report(lambda record_id: equal_copy(clean[record_id])).rows
+    assert shared.rows[0].rouge1 is not None
+
+
 def test_eval_report_self_references_score_hundred():
     docs = docs_with_ids([("a", ["x y z", "p q"]), ("b", ["m n o"])])
     report = eval_report(aligned_pairs(docs, docs), references=by_id(docs))

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import random
 import re
 import shlex
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -504,6 +507,24 @@ def test_denoise_external_reports_the_bad_output_line_before_the_failed_write(tm
         assert not out.exists()
 
 
+@pytest.mark.parametrize("records, command, line", [
+    (1, "sh -c 'cat >/dev/null'", 1),
+    (5, "head -n 3", 4),
+])
+def test_denoise_external_names_the_first_unanswered_input_line_from_one(tmp_path, capsys, records, command, line):
+    # Input lines count from 1, as corpus lines do in read errors.
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(
+        [CorpusRecord(id=f"r{i}", article=["alpha beta"], summary=["alpha beta"]) for i in range(1, records + 1)],
+        corpus,
+    )
+    out = tmp_path / "denoised.jsonl"
+    code = cli_main(["denoise", "-i", str(corpus), "-o", str(out), "--method", "external", "--command", command])
+    assert code == 1
+    assert capsys.readouterr().err == f"sumnoise: error: no output line for record 'r{line}' (input line {line})\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sh -c 'cat; exit 3'", "sh -c 'cat; echo extra'"])
 def test_denoise_external_failure_after_last_line_exits_one(tmp_path, capsys, command):
     # Every record gets its line back, so only the adapter's trailing checks
@@ -915,3 +936,48 @@ def test_denoise_external_reads_the_input_once(tmp_path, monkeypatch):
     ]) == 0
     assert opened == [str(corpus)]
     assert [record.id for record in read_corpus(out)] == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda signum: signum.name)
+def test_a_signal_ends_the_run_cleanly(tmp_path, signum):
+    # The run is signalled while its -o temporary file exists and the
+    # external command is running; it exits 128 + signum with one error line,
+    # after removing the temporary file and killing the command.
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    pidfile = tmp_path / "command.pid"
+    run = subprocess.Popen(
+        [
+            sys.executable, "-m", "sumnoise.cli", "denoise", "-i", str(corpus), "-o", str(out),
+            "--method", "external", "--command", f"sh -c 'echo $$ > {pidfile}; exec sleep 60'",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        # A shell that started the tests in the background may have left
+        # SIGINT ignored; the CLI, like any program, keeps an ignored signal.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (list(tmp_path.glob(".denoised.jsonl.*.tmp")) and pidfile.exists() and pidfile.read_text()):
+            assert run.poll() is None and time.monotonic() < deadline, "the run never started its command"
+            time.sleep(0.01)
+        command_pid = int(pidfile.read_text())
+        run.send_signal(signum)
+        stdout, stderr = run.communicate(timeout=30)
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.communicate()
+    try:
+        assert run.returncode == 128 + signum
+        assert stdout == ""
+        assert stderr == f"sumnoise: error: interrupted by {signum.name}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["command.pid", "tiny.jsonl"]
+        with pytest.raises(ProcessLookupError):
+            os.kill(command_pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(command_pid, signal.SIGKILL)  # left running only when the test fails

@@ -200,6 +200,41 @@ def test_rouge_n_matches_the_oracle_when_one_side_has_far_more_ngrams(short, lon
     assert tuple(rouge_n(cand, ref, n)) == expected
 
 
+# Token sequences that repeat no n-gram, and ones that repeat an n-gram for
+# every n up to 3: they end with a copy of their first three tokens.
+unique_tokens = st.lists(st.sampled_from("abcdefgh"), min_size=3, max_size=8, unique=True)
+repeating_tokens = unique_tokens.flatmap(
+    lambda base: st.lists(st.sampled_from(base), max_size=4).map(lambda extra: base + extra + base[:3])
+)
+
+
+@pytest.mark.parametrize(
+    "reference_repeats, candidate_repeats", [(False, False), (True, False), (False, True), (True, True)]
+)
+@settings(derandomize=True, max_examples=50)
+@given(data=st.data())
+def test_one_reference_object_scores_every_candidate_as_the_oracles_do(reference_repeats, candidate_repeats, data):
+    # The reference builds its n-gram and LCS tables on first use; every
+    # later score, whatever the order of the metrics, reads the same tables.
+    ref_tokens = data.draw(repeating_tokens if reference_repeats else unique_tokens)
+    reference = make_document([" ".join(ref_tokens)])
+
+    def oracle_n(cand_tokens, n):
+        return precision_recall_f1(
+            clipped_match_count(cand_tokens, ref_tokens, n), len(cand_tokens) - n + 1, len(ref_tokens) - n + 1
+        )
+
+    candidates = data.draw(st.lists(repeating_tokens if candidate_repeats else unique_tokens, min_size=2, max_size=4))
+    for cand_tokens in candidates:
+        candidate = make_document([" ".join(cand_tokens)])
+        assert tuple(rouge_n(candidate, reference, 1)) == oracle_n(cand_tokens, 1)
+        assert tuple(rouge_l(candidate, reference)) == precision_recall_f1(
+            lcs_full_table(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens)
+        )
+        assert tuple(rouge_n(candidate, reference, 2)) == oracle_n(cand_tokens, 2)
+        assert tuple(rouge_n(candidate, reference, 3)) == oracle_n(cand_tokens, 3)
+
+
 def test_rouge_l_matches_oracle_on_long_and_repetitive_documents():
     # Past 30 tokens the LCS bit vector spans several int digits; one- and
     # two-symbol alphabets give the longest carry chains.
@@ -214,7 +249,7 @@ def test_rouge_l_matches_oracle_on_long_and_repetitive_documents():
             )
             got = rouge_l(cand, ref)
             assert (got.precision, got.recall, got.f1) == expected
-    assert _lcs_length((), ("a", "b")) == _lcs_length(("a", "b"), ()) == 0
+    assert _lcs_length((), {"a": 1, "b": 2}, 2) == _lcs_length(("a", "b"), {}, 0) == 0
 
 
 def test_oracle_ngram_list_sanity():

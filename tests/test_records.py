@@ -107,6 +107,18 @@ def test_derived_fields_are_computed_once_and_are_frozen_too():
         sentence.no_such_field
 
 
+def test_a_document_with_its_rouge_tables_built_keeps_its_value_semantics():
+    doc, fresh = _doc(), _doc()
+    assert doc.ngram_counts(1) == {"the": 1, "cat": 1, "sat": 1, "dogs": 1, "bark": 1}
+    assert doc.ngram_counts(2)[("sat", "dogs")] == 1
+    assert doc.match_masks()["dogs"] == 1 << 3
+    assert doc.ngram_counts(1) is doc.ngram_counts(1) and doc.match_masks() is doc.match_masks()
+    assert doc == fresh and hash(doc) == hash(fresh) and repr(doc) == repr(fresh)
+    copied = pickle.loads(pickle.dumps(doc))
+    assert copied == doc and repr(copied) == repr(doc)
+    assert pickle.dumps(doc) == pickle.dumps(fresh)
+
+
 def test_corpus_record_is_a_named_tuple_and_replace_gives_a_copy():
     record = CorpusRecord("r1", ["An article."], ["A summary."])
     assert record.noisy is None and record.provenance is None
