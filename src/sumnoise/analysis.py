@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import zip_longest
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlignmentError, EmptyCorpusError
@@ -50,6 +51,11 @@ class OperationDistribution(NamedTuple):
     sample_count: int
 
 
+# The JSON key of a SystemReport field is its name, but for these two,
+# which keep the spelling the reports have always written.
+_LEGACY_KEYS = {"rouge_l": "rougeL", "repetition_total": "repetitions_total"}
+
+
 class SystemReport(NamedTuple):
     """One row of an evaluation table. Score columns are scaled to [0, 100]."""
 
@@ -63,27 +69,17 @@ class SystemReport(NamedTuple):
     mean_tokens: float
     repetition_total: int
 
+    def to_dict(self, fields: Iterable[str] | None = None) -> dict:
+        """``fields`` (default: all, in order) under their JSON keys."""
+        names = self._fields if fields is None else fields
+        return {_LEGACY_KEYS.get(name, name): getattr(self, name) for name in names}
+
 
 class EvalReport(NamedTuple):
     rows: tuple[SystemReport, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "systems": [
-                {
-                    "system": row.system,
-                    "records": row.records,
-                    "rouge1": row.rouge1,
-                    "rouge2": row.rouge2,
-                    "rougeL": row.rouge_l,
-                    "repeat_rate": row.repeat_rate,
-                    "mean_sentences": row.mean_sentences,
-                    "mean_tokens": row.mean_tokens,
-                    "repetitions_total": row.repetition_total,
-                }
-                for row in self.rows
-            ]
-        }
+        return {"systems": [row.to_dict() for row in self.rows]}
 
     def to_tsv(self) -> str:
         header = "system\trouge1\trouge2\trougeL\trepeat\tsents\ttoks\trepetitions\trecords"
@@ -254,13 +250,7 @@ class MetricAccumulator:
     def __init__(self, repetition_threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> None:
         self.repetition_threshold = repetition_threshold
         self.records = 0
-        self.rouge1 = 0.0
-        self.rouge2 = 0.0
-        self.rouge_l = 0.0
-        self.repeat = 0.0
-        self.sentences = 0
-        self.tokens = 0
-        self.repetitions = 0
+        self.sums = DocumentScores(0, 0, 0.0, 0)
 
     def add(self, doc: SummaryDoc, reference: SummaryDoc | None = None) -> DocumentScores:
         """Score one document, add the scores to the sums, and return them."""
@@ -277,24 +267,9 @@ class MetricAccumulator:
     def add_scores(self, scores: DocumentScores) -> None:
         """Add one document's scores, as ``add`` returned them, to the sums."""
         self.records += 1
-        self.sentences += scores.sentences
-        self.tokens += scores.tokens
-        self.repeat += scores.repeat
-        self.repetitions += scores.repetitions
-        self.rouge1 += scores.rouge1
-        self.rouge2 += scores.rouge2
-        self.rouge_l += scores.rouge_l
+        self.sums = DocumentScores._make(map(add, self.sums, scores))
 
     def row(self, system: str, with_rouge: bool = False) -> SystemReport:
-        n = self.records
-        return SystemReport(
-            system=system,
-            records=n,
-            rouge1=100.0 * self.rouge1 / n if with_rouge else None,
-            rouge2=100.0 * self.rouge2 / n if with_rouge else None,
-            rouge_l=100.0 * self.rouge_l / n if with_rouge else None,
-            repeat_rate=self.repeat / n,
-            mean_sentences=self.sentences / n,
-            mean_tokens=self.tokens / n,
-            repetition_total=self.repetitions,
-        )
+        n, sums = self.records, self.sums
+        rouge = [100.0 * total / n if with_rouge else None for total in (sums.rouge1, sums.rouge2, sums.rouge_l)]
+        return SystemReport(system, n, *rouge, sums.repeat / n, sums.sentences / n, sums.tokens / n, sums.repetitions)

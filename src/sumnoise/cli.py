@@ -6,7 +6,7 @@ An -o file appears only when its run succeeds, and never replaces one of the
 run's inputs. Exit codes: 0 on success, 1 on a processing error (with a
 diagnostic on stderr), 2 on usage errors, and 128 plus the signal number
 when SIGINT (130) or SIGTERM (143) ends the run; the temporary file of an -o
-output and an external denoiser's process are removed first.
+output is removed, and an external denoiser's process group killed, first.
 """
 
 from __future__ import annotations
@@ -419,14 +419,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if accumulator.records == 0:
         raise EmptyCorpusError(f"no records in {args.input}")
     row = accumulator.row("stats")
-    payload = {
-        "records": row.records,
-        "mean_sentences": row.mean_sentences,
-        "mean_tokens": row.mean_tokens,
-        "repeat_rate": row.repeat_rate,
-        "repetitions_total": row.repetition_total,
-        "repetition_threshold": args.threshold,
-    }
+    payload = row.to_dict(("records", "mean_sentences", "mean_tokens", "repeat_rate", "repetition_total"))
+    payload["repetition_threshold"] = args.threshold
     _report(args, payload, "\n".join(f"{key}\t{value}" for key, value in payload.items()))
     return 0
 

@@ -15,6 +15,7 @@ pipes (``select.poll``).
 from __future__ import annotations
 
 import os
+import signal
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -96,6 +97,10 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     held error is raised. A last output line without a newline is still a
     line. An empty or unsplittable command raises InvalidCommandError (see
     ``command_argv``) on the first ``next``, before any process starts.
+
+    The command runs in its own session. A run that ends before the command
+    has exited (an error, a signal, or a caller that stops iterating) kills
+    the command's whole process group, so nothing it started outlives it.
     """
     # Imported here, not at the top: only this path runs a process, and every
     # other subcommand would pay for them at start-up.
@@ -104,8 +109,9 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
 
     argv = command_argv(command)
     # Binary pipes, decoded one line at a time, so that a line that is not
-    # UTF-8 is reported against its own record.
-    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+    # UTF-8 is reported against its own record; a session of its own, so
+    # that an early end can kill all it started.
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0, start_new_session=True)
     assert proc.stdin is not None and proc.stdout is not None
     stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
     os.set_blocking(stdin, False)
@@ -189,8 +195,10 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     finally:
         proc.stdin.close()
         proc.stdout.close()
-        if proc.poll() is None:
-            proc.kill()
+        # Not yet reaped, so the run ended early. The group is killed first:
+        # an unreaped leader keeps its group id from being reused.
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import greedy_edit_counts
 from sumnoise.analysis import (
     EditKind,
-    MetricAccumulator,
+    SystemReport,
     aggregate_operations,
     aligned_pairs,
     classify_edit,
@@ -17,6 +19,7 @@ from sumnoise.analysis import (
 )
 from sumnoise.denoise import overlap_denoise
 from sumnoise.errors import AlignmentError, EmptyCorpusError
+from sumnoise.metrics import repeat_rate, repetition_count, rouge_l, rouge_n, summary_stats
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
@@ -243,15 +246,32 @@ def test_eval_report_rows_equal_scoring_each_side_on_its_own(pairs, with_referen
             after.append(make_document(other, source_id=f"r{i}"))
         references.append(make_document(other[::-1], source_id=f"r{i}"))
     report = eval_report(aligned_pairs(before, after), by_id(references) if with_references else None)
-    if not with_references:
-        references = [None] * len(before)
+    # Each column from the metric functions themselves, summed document by
+    # document in stream order, as a report sums them.
+    n = len(before)
     expected = []
     for system, docs in (("before", before), ("after", after)):
-        accumulator = MetricAccumulator()
-        for doc, reference in zip(docs, references):
-            accumulator.add(doc, reference)
-        expected.append(accumulator.row(system, with_rouge=with_references))
+        rouge = [None] * 3
+        if with_references:
+            rouge = [
+                100.0 * running_sum(score(doc, ref).f1 for doc, ref in zip(docs, references)) / n
+                for score in (functools.partial(rouge_n, n=1), functools.partial(rouge_n, n=2), rouge_l)
+            ]
+        expected.append(SystemReport(
+            system,
+            n,
+            *rouge,
+            repeat_rate=running_sum(map(repeat_rate, docs)) / n,
+            mean_sentences=running_sum(summary_stats(doc)[0] for doc in docs) / n,
+            mean_tokens=running_sum(summary_stats(doc)[1] for doc in docs) / n,
+            repetition_total=running_sum(map(repetition_count, docs)),
+        ))
     assert report.rows == tuple(expected)
+
+
+def running_sum(values):
+    """Left-to-right sum; ``sum`` rounds float sums differently from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def test_eval_report_rows_do_not_depend_on_sharing_the_reference_object():

@@ -553,6 +553,25 @@ def test_stats_on_known_corpus(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_json_reports_keep_their_key_order(tmp_path, capsys):
+    # Readers of -o files may rely on these keys, spelled and ordered as here.
+    corpus = tiny_corpus(tmp_path)
+    report, stats = tmp_path / "report.json", tmp_path / "stats.json"
+    for references in ([], ["-r", str(corpus)]):
+        assert cli_main(["eval", "-b", str(corpus), "-a", str(corpus), "-o", str(report), *references]) == 0
+        systems = json.loads(report.read_text(encoding="utf-8"))["systems"]
+        assert [list(row) for row in systems] == 2 * [[
+            "system", "records", "rouge1", "rouge2", "rougeL", "repeat_rate", "mean_sentences", "mean_tokens",
+            "repetitions_total",
+        ]]
+        assert (systems[0]["rouge1"] is None) == (not references)
+    assert cli_main(["stats", "-i", str(corpus), "-o", str(stats)]) == 0
+    assert list(json.loads(stats.read_text(encoding="utf-8"))) == [
+        "records", "mean_sentences", "mean_tokens", "repeat_rate", "repetitions_total", "repetition_threshold",
+    ]
+    capsys.readouterr()
+
+
 def test_analyze_reports_fractions(tmp_path, fixture_corpus, capsys):
     noised = tmp_path / "noised.jsonl"
     denoised = tmp_path / "denoised.jsonl"
@@ -981,3 +1000,88 @@ def test_a_signal_ends_the_run_cleanly(tmp_path, signum):
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.kill(command_pid, signal.SIGKILL)  # left running only when the test fails
+
+
+def running(pid):
+    """Whether ``pid`` still runs; a zombie, left for init to reap, does not."""
+    try:
+        os.kill(pid, 0)
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except ProcessLookupError:
+        return False
+    except FileNotFoundError:  # no /proc, or reaped since os.kill
+        return sys.platform != "linux"
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def all_gone(pids, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def denoise_run(tmp_path, command):
+    """``denoise --method external --command COMMAND`` in a child process.
+
+    Its stderr goes to a file: a pipe would stay open, and its reader wait,
+    for as long as anything the command started still runs.
+    """
+    with open(tmp_path / "stderr.log", "w", encoding="utf-8") as stderr:
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "sumnoise.cli", "denoise", "-i", str(tiny_corpus(tmp_path)),
+                "-o", str(tmp_path / "denoised.jsonl"), "--method", "external", "--command", command,
+            ],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+
+
+def kill_recorded(*pidfiles):
+    """Kill what a failed test left running: the pids the command wrote down."""
+    for pidfile in pidfiles:
+        if pidfile.exists() and pidfile.read_text().strip():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+
+def test_a_signal_kills_what_the_command_started(tmp_path):
+    # The shell waits on a background sleep; killing the shell alone would
+    # leave the sleep running after the run has ended.
+    sh_pid, sleep_pid = tmp_path / "sh.pid", tmp_path / "sleep.pid"
+    run = denoise_run(tmp_path, f"sh -c 'echo $$ > {sh_pid}; sleep 23 & echo $! > {sleep_pid}; wait; cat'")
+    try:
+        deadline = time.monotonic() + 30
+        while not (sleep_pid.exists() and sleep_pid.read_text().strip()):
+            assert run.poll() is None and time.monotonic() < deadline, "the run never started its command"
+            time.sleep(0.01)
+        time.sleep(0.2)  # the pids can appear a moment before the adapter enters its try block
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=15) == 128 + signal.SIGTERM
+        assert (tmp_path / "stderr.log").read_text() == "sumnoise: error: interrupted by SIGTERM\n"
+        assert all_gone([int(sh_pid.read_text()), int(sleep_pid.read_text())])
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+        kill_recorded(sh_pid, sleep_pid)
+
+
+def test_a_failed_run_kills_what_the_command_started(tmp_path):
+    # The shell's reply is not UTF-8, so the run fails on its first line while
+    # the shell still waits on its background sleep.
+    sleep_pid = tmp_path / "sleep.pid"
+    started = time.monotonic()
+    run = denoise_run(tmp_path, f"sh -c 'sleep 37 & echo $! > {sleep_pid}; printf \"\\377\\n\"; wait'")
+    try:
+        assert run.wait(timeout=30) == 1
+        assert time.monotonic() - started < 20
+        assert "not valid UTF-8" in (tmp_path / "stderr.log").read_text()
+        assert all_gone([int(sleep_pid.read_text())])
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+        kill_recorded(sleep_pid)

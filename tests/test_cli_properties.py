@@ -6,7 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 
 from sumnoise.cli import cli_main
 from sumnoise.corpus import read_corpus
-from sumnoise.text import _EDGE_CHARS
+from sumnoise.text import _EDGE_CHARS, unigram_overlap
 
 NBSP = "\u00a0"
+ZWSP = "\u200b"  # not whitespace to str.split, so it stays inside a token
 BASE_IDS = ["r1", "r2", "r3"]
 
-# Letters, the characters tokenize strips from word edges, spaces and NBSPs;
-# the "a" between two runs of them makes sure of one token.
-chars = st.text("aB " + NBSP + _EDGE_CHARS, max_size=6)
-worded = st.tuples(chars, chars).map(lambda halves: f"{halves[0]}a{halves[1]}")
+# Letters, the characters tokenize strips from word edges, spaces, NBSPs,
+# line breaks and zero-width spaces; the word between two runs of them makes
+# sure of one token. Besides "a", a word may be the external protocol's
+# sentence separator or an abbreviation that does not end a sentence.
+chars = st.text("aB \r\n" + NBSP + ZWSP + _EDGE_CHARS, max_size=6)
+worded = st.tuples(chars, st.sampled_from(["a", "a", "<S>", "Mr. B"]), chars).map("".join)
 # One sentence in twenty has no token, which fails its record when it is read.
 sentences = st.integers(0, 19).flatmap(lambda n: st.text(_EDGE_CHARS, min_size=1, max_size=2) if n == 0 else worded)
 # A field is a list of sentences or running text, which is split on read.
@@ -146,3 +149,21 @@ def test_external_cat_denoise_adds_only_its_provenance_and_keeps_the_tokens(corp
                 assert after[:3] == before[:3]  # id, article and summary
                 assert after.provenance == {**(before.provenance or {}), "denoise": {"method": "external"}}
                 assert tokens(after.working_doc()) == tokens(before.working_doc())
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(corpora(), st.sampled_from(["0,1", "0,0,1"]), st.sampled_from(["0", "0.5", "0.8", "0.99"]))
+def test_overlap_denoise_removes_exactly_the_repeated_sentences(corpus, dist, threshold):
+    # Repeat noise appends copies of summary sentences, each overlapping its
+    # original by 1.0; denoising deletes them and, when no two clean sentences
+    # overlap by more than the threshold either way, nothing else.
+    with tempfile.TemporaryDirectory() as directory:
+        corpus_path, noised, denoised = (Path(directory) / name for name in ("x.jsonl", "noised.jsonl", "dn.jsonl"))
+        write_jsonl(corpus_path, corpus)
+        code, _ = run("noise", "-i", corpus_path, "-o", noised, "--type", "repeat", "--dist", dist)
+        if code == 0:
+            assert run("denoise", "-i", noised, "-o", denoised, "--threshold", threshold)[0] == 0
+            for record in read_corpus(denoised):
+                clean = record.summary_doc().sentences
+                if all(unigram_overlap(a, b) <= float(threshold) for a, b in permutations(clean, 2)):
+                    assert record.noisy == record.summary
