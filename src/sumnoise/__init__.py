@@ -22,6 +22,7 @@ from .metrics import (
     summary_stats,
 )
 from .noising import (
+    Alignment,
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
@@ -38,6 +39,7 @@ from .text import SummaryDoc, TokenizedSentence, make_document, sentence_similar
 __version__ = "0.1.0"
 
 __all__ = [
+    "Alignment",
     "CorpusRecord",
     "DenoiseResult",
     "DropTokenParaphraser",

@@ -281,12 +281,10 @@ def cmd_noise(args: argparse.Namespace) -> int:
                 print(f"sumnoise: skipped {error}", file=sys.stderr)
                 skipped += 1
                 continue
-            alignment = None if article is None else Alignment(clean, article)
+            alignment = Alignment(clean, article)
             for variant in range(args.variants):
                 try:
-                    noisy = make_noisy_record(
-                        article, clean, noise_type, args.dist, args.seed, variant, paraphraser, alignment
-                    )
+                    noisy = make_noisy_record(alignment, noise_type, args.dist, args.seed, variant, paraphraser)
                 except SumnoiseError as error:
                     print(
                         f"sumnoise: skipped record {record.id!r} variant {variant}: {error}",
@@ -300,10 +298,10 @@ def cmd_noise(args: argparse.Namespace) -> int:
                     record.summary,
                     noisy=noisy.noisy.raw_sentences(),
                     provenance={
-                        "source_id": noisy.source_id,
+                        "source_id": record.id,
                         "noise_type": noisy.noise_type.value,
                         "noised_indices": list(noisy.noised_indices),
-                        "variant_index": noisy.variant_index,
+                        "variant_index": variant,
                         "seed": noisy.seed,
                     },
                 ))

@@ -5,20 +5,21 @@ Three corruptions, all of which inject repeated or peripheral content:
 * repeat:  duplicate random summary sentences at the end
 * replace: swap random summary sentences for the closest article sentence
 * extra:   insert paraphrased article sentences, keeping article order
-* mixture: per record, one of the above chosen uniformly
+* mixture: per variant, one of the above chosen uniformly
 
-How many sentences get corrupted is sampled per record from a noise-count
-distribution (default: 15% of records untouched, 85% with one noisy
-sentence). Every record derives its own 64-bit seed from the run seed, the
+How many sentences get corrupted is sampled per variant from a noise-count
+distribution (default: 15% of variants untouched, 85% with one noisy
+sentence). Every variant derives its own 64-bit seed from the run seed, the
 record id, and the variant index, so generation replays exactly, and a
-corpus noised in shards concatenates to the same output.
+corpus noised in shards concatenates to the same output. A record's clean
+summary and article reach the noise functions as one ``Alignment``.
 """
 
 from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import InsufficientArticleError, InsufficientSummaryError, InvalidDistributionError
 from .text import FrozenValue, SummaryDoc, TokenizedSentence, drop_token, sentence_similarity
@@ -68,15 +69,17 @@ class NoiseDistribution(FrozenValue):
         return cls(probs)
 
 
-class NoisyRecord(NamedTuple):
-    """One noised summary plus everything needed to reproduce it."""
+def identity_paraphrase(sentence: TokenizedSentence) -> TokenizedSentence:
+    """Default paraphrase hook: the sentence itself."""
+    return sentence
 
-    source_id: str
+
+class NoisyRecord(NamedTuple):
+    """One noised summary and what the noise call decided."""
+
     noisy: SummaryDoc
-    clean: SummaryDoc
     noise_type: NoiseType
     noised_indices: tuple[int, ...]
-    variant_index: int
     seed: int
 
 
@@ -91,33 +94,32 @@ def sample_noise_count(dist: NoiseDistribution, rng: random.Random) -> int:
     return dist.max_count
 
 
-def closest_sentence_index(target: TokenizedSentence, pool: Sequence[TokenizedSentence]) -> int:
-    """Index of the pool sentence most similar to target; ties go to the lowest index."""
-    best_index, best_sim = 0, -1.0
-    for i, candidate in enumerate(pool):
-        sim = sentence_similarity(target, candidate)
-        if sim > best_sim:
-            best_index, best_sim = i, sim
-    return best_index
-
-
 class Alignment:
-    """Each summary sentence's closest article index, computed on first use.
+    """A clean summary and its article, with each summary sentence's closest article index.
 
-    Replace and extra noise both read it. One instance per record, passed to
-    every variant, aligns each summary sentence at most once per record.
+    The one document input of the noise functions. The closest index is
+    computed on first use; one instance per record, passed to every variant,
+    aligns each summary sentence at most once per record. Repeat noise never
+    reads the article, so it may be None there.
     """
 
-    def __init__(self, clean: SummaryDoc, article: SummaryDoc) -> None:
-        self._clean = clean
-        self._article = article
+    __slots__ = ("clean", "article", "_closest")
+
+    def __init__(self, clean: SummaryDoc, article: SummaryDoc | None) -> None:
+        self.clean = clean
+        self.article = article
         self._closest: list[int | None] = [None] * len(clean)
 
     def closest(self, position: int) -> int:
-        """Article index closest to summary sentence ``position``."""
+        """Article index most similar to summary sentence ``position``; ties go to the lowest index."""
         index = self._closest[position]
         if index is None:
-            index = closest_sentence_index(self._clean.sentences[position], self._article.sentences)
+            target = self.clean.sentences[position]
+            index, best_sim = 0, -1.0
+            for i, candidate in enumerate(self.article.sentences):
+                sim = sentence_similarity(target, candidate)
+                if sim > best_sim:
+                    index, best_sim = i, sim
             self._closest[position] = index
         return index
 
@@ -145,19 +147,13 @@ def apply_repeat(
     return noisy, list(range(n, n + k))
 
 
-def apply_replace(
-    clean: SummaryDoc,
-    article: SummaryDoc,
-    k: int,
-    rng: random.Random,
-    alignment: Alignment | None = None,
-) -> tuple[SummaryDoc, list[int]]:
+def apply_replace(alignment: Alignment, k: int, rng: random.Random) -> tuple[SummaryDoc, list[int]]:
     """Replace k distinct summary sentences with their closest article sentence.
 
     Closeness is ``sentence_similarity`` (Dice); exact ties go to the earliest
     article sentence. Returns the noised document and the replaced positions.
-    An ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
     """
+    clean = alignment.clean
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k > len(clean):
@@ -166,22 +162,18 @@ def apply_replace(
         )
     if k == 0:
         return clean, []
-    if alignment is None:
-        alignment = Alignment(clean, article)
     positions = sorted(rng.sample(range(len(clean)), k))
     sentences = list(clean.sentences)
     for pos in positions:
-        sentences[pos] = article.sentences[alignment.closest(pos)]
+        sentences[pos] = alignment.article.sentences[alignment.closest(pos)]
     return SummaryDoc(tuple(sentences), source_id=clean.source_id), positions
 
 
 def apply_extra(
-    clean: SummaryDoc,
-    article: SummaryDoc,
+    alignment: Alignment,
     k: int,
     rng: random.Random,
-    paraphraser: Paraphraser | None = None,
-    alignment: Alignment | None = None,
+    paraphraser: Paraphraser = identity_paraphrase,
 ) -> tuple[SummaryDoc, list[int]]:
     """Insert k paraphrased article sentences, preserving article order.
 
@@ -189,42 +181,30 @@ def apply_extra(
     Insertions are drawn from the article sentences left unaligned; a sentence
     with article index e goes immediately before the first summary sentence
     whose aligned index exceeds e, or at the end when none does. Returns the
-    noised document and the output positions of the insertions. An
-    ``alignment`` of ``clean`` to ``article`` reuses other variants' work.
+    noised document and the output positions of the insertions.
     """
+    clean, article = alignment.clean, alignment.article
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:
         return clean, []
-    if paraphraser is None:
-        paraphraser = identity_paraphrase
-    if alignment is None:
-        alignment = Alignment(clean, article)
     aligned = [alignment.closest(i) for i in range(len(clean))]
     pool = sorted(set(range(len(article))) - set(aligned))
     if k > len(pool):
         raise InsufficientArticleError(
             f"need {k} unmatched article sentences, only {len(pool)} available"
         )
-    chosen = sorted(rng.sample(pool, k))
-    slots: dict[int, list[int]] = {}
-    for article_index in chosen:
-        slot = next((i for i, a in enumerate(aligned) if a > article_index), len(clean))
-        slots.setdefault(slot, []).append(article_index)
+    draws = sorted(rng.sample(pool, k), reverse=True)  # the lowest pops first
+    aligned.append(len(article))  # above every draw: what is left goes at the end
     output: list[TokenizedSentence] = []
     inserted_at: list[int] = []
-    for i in range(len(clean) + 1):
-        for article_index in slots.get(i, ()):
+    for i, limit in enumerate(aligned):
+        while draws and draws[-1] < limit:
             inserted_at.append(len(output))
-            output.append(paraphraser(article.sentences[article_index]))
+            output.append(paraphraser(article.sentences[draws.pop()]))
         if i < len(clean):
             output.append(clean.sentences[i])
     return SummaryDoc(tuple(output), source_id=clean.source_id), inserted_at
-
-
-def identity_paraphrase(sentence: TokenizedSentence) -> TokenizedSentence:
-    """Default paraphrase hook: the sentence itself."""
-    return sentence
 
 
 class DropTokenParaphraser:
@@ -263,23 +243,21 @@ def _stable_hash64(payload: bytes) -> int:
 
 
 def make_noisy_record(
-    article: SummaryDoc | None,
-    clean: SummaryDoc,
+    alignment: Alignment,
     noise_type: NoiseType,
     dist: NoiseDistribution,
     base_seed: int,
     variant_index: int,
-    paraphraser: Paraphraser | None = None,
-    alignment: Alignment | None = None,
+    paraphraser: Paraphraser = identity_paraphrase,
 ) -> NoisyRecord:
-    """Produce one noisy variant of a clean summary.
+    """Produce one noisy variant of ``alignment.clean``.
 
     For mixture the concrete noise type is drawn first, then the noise count,
-    then the corruption itself, all from the record's derived seed; replaying
-    the same inputs reproduces the record exactly. Repeat noise never reads
-    the article, so it may be None there. Pass the same ``alignment`` of
-    ``clean`` to ``article`` to every variant of a record to align it once.
+    then the corruption itself, all from the variant's derived seed; replaying
+    the same inputs reproduces the variant exactly. Pass the same
+    ``alignment`` to every variant of a record to align it once.
     """
+    clean = alignment.clean
     seed = derive_seed(base_seed, clean.source_id, variant_index)
     rng = random.Random(seed)
     concrete = noise_type
@@ -289,16 +267,7 @@ def make_noisy_record(
     if concrete is NoiseType.REPEAT:
         noisy, indices = apply_repeat(clean, k, rng)
     elif concrete is NoiseType.REPLACE:
-        noisy, indices = apply_replace(clean, article, k, rng, alignment)
+        noisy, indices = apply_replace(alignment, k, rng)
     else:
-        noisy, indices = apply_extra(clean, article, k, rng, paraphraser, alignment)
-    return NoisyRecord(
-        source_id=clean.source_id,
-        noisy=noisy,
-        clean=clean,
-        noise_type=concrete,
-        noised_indices=tuple(indices),
-        variant_index=variant_index,
-        seed=seed,
-    )
-
+        noisy, indices = apply_extra(alignment, k, rng, paraphraser)
+    return NoisyRecord(noisy, concrete, tuple(indices), seed)

@@ -140,8 +140,6 @@ class SummaryDoc(FrozenValue):
             tokens = self.all_tokens
             if n == 1:
                 counts = Counter(tokens)
-            elif n == 2:
-                counts = Counter(zip(tokens, tokens[1:]))
             else:
                 counts = Counter(zip(*(tokens[i:] for i in range(n))))
             tables[n] = counts

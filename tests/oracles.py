@@ -5,8 +5,9 @@ are counted by consuming reference occurrences one at a time from a list
 instead of summing clipped counts, the LCS is computed with a full quadratic
 table instead of bit-parallel row updates, Repeat counts the sentences that
 hold each token type in a Counter instead of building the set of shared
-types, and edits are classified by the greedy alignment loop alone, with no
-short-cut for unchanged documents.
+types, edits are classified by the greedy alignment loop alone, with no
+short-cut for unchanged documents, and extra noise gives each inserted
+sentence a slot instead of merging the sorted draws into the summary.
 """
 
 from __future__ import annotations
@@ -83,3 +84,37 @@ def greedy_edit_counts(before, after, match_threshold: float) -> tuple[int, int]
         else:
             modified += 1
     return len(unmatched), modified
+
+
+def extra_noise_by_slots(clean, article, k: int, rng, paraphraser):
+    """Extra noise with its insertions placed by a slot per draw.
+
+    Each summary sentence is aligned by a full scan to the article sentence
+    of highest Dice similarity over token types, ties to the lowest index.
+    The draws are taken from the unaligned article indices as the package
+    takes them; draw e gets the slot of the first summary sentence aligned
+    above e, or the end when none is, and the slots are then filled in
+    summary order. Returns the output sentences and the insertion positions,
+    or None when too few article sentences are left unaligned.
+    """
+    def dice(a, b):
+        a, b = frozenset(a.tokens), frozenset(b.tokens)
+        return 2 * len(a & b) / (len(a) + len(b))
+
+    positions = range(len(article.sentences))
+    aligned = [max(positions, key=lambda j: (dice(s, article.sentences[j]), -j)) for s in clean.sentences]
+    pool = [j for j in positions if j not in aligned]
+    if k > len(pool):
+        return None
+    slots: dict[int, list[int]] = {}
+    for e in sorted(rng.sample(pool, k)):
+        slot = next((i for i, a in enumerate(aligned) if a > e), len(clean.sentences))
+        slots.setdefault(slot, []).append(e)
+    output, inserted_at = [], []
+    for i in range(len(clean.sentences) + 1):
+        for e in slots.get(i, ()):
+            inserted_at.append(len(output))
+            output.append(paraphraser(article.sentences[e]))
+        if i < len(clean.sentences):
+            output.append(clean.sentences[i])
+    return output, inserted_at

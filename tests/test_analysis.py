@@ -23,6 +23,7 @@ from sumnoise.metrics import repeat_rate, repetition_count, rouge_l, rouge_n, su
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
+    Alignment,
     NoiseDistribution,
     NoiseType,
     make_noisy_record,
@@ -34,10 +35,10 @@ from sumnoise.text import SummaryDoc, TokenizedSentence, make_document, tokenize
 
 def noised_records(records: int, seed: int = 19):
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    pairs = [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
+    alignments = [Alignment(r.summary_doc(), r.article_doc()) for r in synth_corpus(records, seed)]
     return [
-        make_noisy_record(article, clean, NoiseType.MIXTURE, dist, seed, variant)
-        for article, clean in pairs
+        make_noisy_record(alignment, NoiseType.MIXTURE, dist, seed, variant)
+        for alignment in alignments
         for variant in range(DEFAULT_VARIANTS)
     ]
 
@@ -279,11 +280,11 @@ def test_eval_report_rows_do_not_depend_on_sharing_the_reference_object():
     # built on its first use; a fresh, equal reference per call builds them
     # every time.
     noised = noised_records(20)
-    assert len(noised) > len({n.source_id for n in noised})
-    clean = {n.source_id: n.clean for n in noised}
+    clean = {r.id: r.summary_doc() for r in synth_corpus(20, 19)}
+    assert len(noised) > len(clean)
 
     def report(references):
-        before = [SummaryDoc(n.noisy.sentences, n.source_id) for n in noised]
+        before = [SummaryDoc(n.noisy.sentences, n.noisy.source_id) for n in noised]
         after = [overlap_denoise(doc).output for doc in before]
         return eval_report(aligned_pairs(before, after), references)
 

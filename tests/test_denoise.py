@@ -13,6 +13,7 @@ from sumnoise.metrics import repeat_rate, repetition_count
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
+    Alignment,
     NoiseDistribution,
     NoiseType,
     apply_repeat,
@@ -52,10 +53,10 @@ FAILING = [sys.executable, "-c", "import sys\nsys.stdout.write(sys.stdin.read())
 
 def noised_docs(records: int, seed: int = 12, noise_type: NoiseType = NoiseType.MIXTURE):
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    pairs = [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
+    alignments = [Alignment(r.summary_doc(), r.article_doc()) for r in synth_corpus(records, seed)]
     return [
-        make_noisy_record(article, clean, noise_type, dist, seed, variant)
-        for article, clean in pairs
+        make_noisy_record(alignment, noise_type, dist, seed, variant)
+        for alignment in alignments
         for variant in range(DEFAULT_VARIANTS)
     ]
 

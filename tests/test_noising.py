@@ -2,21 +2,25 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import extra_noise_by_slots
 from sumnoise.errors import InsufficientArticleError, InsufficientSummaryError, InvalidDistributionError
 from sumnoise.metrics import repeat_rate
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
     DEFAULT_VARIANTS,
+    Alignment,
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
     apply_extra,
     apply_repeat,
     apply_replace,
-    closest_sentence_index,
     derive_seed,
     identity_paraphrase,
     make_noisy_record,
@@ -36,9 +40,10 @@ def synth_docs(records: int, seed: int = 5):
 def noised(pairs, noise_type: NoiseType, base_seed: int, variants: int = DEFAULT_VARIANTS):
     """Every variant of every pair at the default distribution; synth pairs never fail."""
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
+    alignments = [Alignment(clean, article) for article, clean in pairs]
     return [
-        make_noisy_record(article, clean, noise_type, dist, base_seed, variant)
-        for article, clean in pairs
+        make_noisy_record(alignment, noise_type, dist, base_seed, variant)
+        for alignment in alignments
         for variant in range(variants)
     ]
 
@@ -116,9 +121,8 @@ def test_similarity_disjoint_is_zero():
 
 
 def test_closest_sentence_tie_breaks_to_lowest_index():
-    target = tokenize("a b")
-    pool = [tokenize("x y"), tokenize("a b"), tokenize("a b")]
-    assert closest_sentence_index(target, pool) == 1
+    alignment = Alignment(make_document(["a b"]), make_document(["x y", "a b", "a b"]))
+    assert alignment.closest(0) == 1
 
 
 # --- repeat ----------------------------------------------------------------
@@ -166,7 +170,7 @@ def test_repeat_length_and_prefix_properties():
 def test_replace_picks_closest_article_sentence():
     clean = make_document(["a b c"])
     article = make_document(["x y", "a b d"])
-    noisy, indices = apply_replace(clean, article, 1, random.Random(0))
+    noisy, indices = apply_replace(Alignment(clean, article), 1, random.Random(0))
     assert noisy.raw_sentences() == ["a b d"]
     assert indices == [0]
 
@@ -174,7 +178,7 @@ def test_replace_picks_closest_article_sentence():
 def test_replace_verbatim_copy_leaves_sentence_unchanged():
     clean = make_document(["cat sat mat", "dog ran far"])
     article = make_document(["zebras graze quietly", "cat sat mat", "dog ran far"])
-    noisy, indices = apply_replace(clean, article, 2, random.Random(4))
+    noisy, indices = apply_replace(Alignment(clean, article), 2, random.Random(4))
     assert noisy.raw_sentences() == clean.raw_sentences()
     assert indices == [0, 1]
 
@@ -182,7 +186,7 @@ def test_replace_verbatim_copy_leaves_sentence_unchanged():
 def test_replace_k_zero_is_identity():
     clean = make_document(["a b"])
     article = make_document(["c d"])
-    noisy, indices = apply_replace(clean, article, 0, random.Random(0))
+    noisy, indices = apply_replace(Alignment(clean, article), 0, random.Random(0))
     assert noisy is clean
     assert indices == []
 
@@ -191,7 +195,7 @@ def test_replace_changes_only_chosen_positions():
     rng = random.Random(21)
     for article_doc, clean in synth_docs(30):
         k = rng.randint(0, len(clean))
-        noisy, indices = apply_replace(clean, article_doc, k, rng)
+        noisy, indices = apply_replace(Alignment(clean, article_doc), k, rng)
         assert len(noisy) == len(clean)
         for i, (before, after) in enumerate(zip(clean.sentences, noisy.sentences)):
             if i not in indices:
@@ -202,7 +206,7 @@ def test_replace_rejects_k_beyond_summary():
     clean = make_document(["a b"])
     article = make_document(["c d"])
     with pytest.raises(InsufficientSummaryError):
-        apply_replace(clean, article, 2, random.Random(0))
+        apply_replace(Alignment(clean, article), 2, random.Random(0))
 
 
 # --- extra -----------------------------------------------------------------
@@ -223,7 +227,7 @@ def _extra_fixture():
 
 def test_extra_inserts_between_aligned_sentences_and_appends_tail():
     summary, article = _extra_fixture()
-    noisy, indices = apply_extra(summary, article, 4, random.Random(0))
+    noisy, indices = apply_extra(Alignment(summary, article), 4, random.Random(0))
     # Article indices 1 and 2 go between the aligned sentences (0 and 3);
     # indices 4 and 5 exceed every alignment and land at the end, in order.
     assert noisy.raw_sentences() == [
@@ -245,7 +249,7 @@ def test_extra_respects_article_order_for_shared_slot():
         "bird flew high aa bb",
         "fish swam deep water",
     ])
-    noisy, indices = apply_extra(summary, article, 2, random.Random(0))
+    noisy, indices = apply_extra(Alignment(summary, article), 2, random.Random(0))
     assert noisy.raw_sentences() == [
         "cat sat mat",
         "dog ran fast zz qq",
@@ -257,7 +261,7 @@ def test_extra_respects_article_order_for_shared_slot():
 
 def test_extra_identity_paraphraser_inserts_verbatim():
     summary, article = _extra_fixture()
-    noisy, indices = apply_extra(summary, article, 1, random.Random(9), identity_paraphrase)
+    noisy, indices = apply_extra(Alignment(summary, article), 1, random.Random(9), identity_paraphrase)
     assert len(noisy) == len(summary) + 1
     inserted = noisy.sentences[indices[0]]
     assert inserted in article.sentences
@@ -266,7 +270,7 @@ def test_extra_identity_paraphraser_inserts_verbatim():
 def test_extra_sentence_multiset_is_clean_plus_insertions():
     rng = random.Random(31)
     for article_doc, clean in synth_docs(30):
-        noisy, indices = apply_extra(clean, article_doc, 1, rng)
+        noisy, indices = apply_extra(Alignment(clean, article_doc), 1, rng)
         remaining = list(noisy.sentences)
         for index in indices:
             assert noisy.sentences[index] in article_doc.sentences
@@ -275,16 +279,56 @@ def test_extra_sentence_multiset_is_clean_plus_insertions():
         assert len(remaining) == len(indices)
 
 
+SMALL_SENTENCES = st.lists(st.sampled_from("abcde"), min_size=1, max_size=3).map(" ".join)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    st.lists(SMALL_SENTENCES, min_size=1, max_size=4),
+    st.lists(SMALL_SENTENCES, min_size=1, max_size=7),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+)
+# A tie: "a c" and "b d" are equally close to "a b"; both draws exceed it.
+@example(["a b"], ["a c", "b d", "e"], 2, 0)
+# Two summary sentences aligned to article sentence 0, one draw between the
+# alignments and one past every aligned index.
+@example(["a b", "a c", "d"], ["a", "b c e", "d e", "c"], 2, 0)
+# Alignments out of article order: the draw goes before the first summary
+# sentence aligned above it.
+@example(["d", "a b"], ["a b", "c", "d"], 1, 0)
+def test_extra_places_insertions_as_the_slot_oracle(summary, article, k, seed):
+    clean, article_doc = make_document(summary), make_document(article)
+    calls, oracle_calls = [], []
+
+    def recording(log):
+        def paraphrase(sentence):
+            log.append(sentence)
+            return sentence
+
+        return paraphrase
+
+    expected = extra_noise_by_slots(clean, article_doc, k, random.Random(seed), recording(oracle_calls))
+    alignment = Alignment(clean, article_doc)
+    if expected is None:
+        with pytest.raises(InsufficientArticleError):
+            apply_extra(alignment, k, random.Random(seed))
+        return
+    noisy, inserted_at = apply_extra(alignment, k, random.Random(seed), recording(calls))
+    assert (list(noisy.sentences), inserted_at) == expected
+    assert calls == oracle_calls
+
+
 def test_extra_rejects_k_beyond_unmatched_pool():
     clean = make_document(["a b c"])
     article = make_document(["a b c d"])  # the only sentence is already aligned
     with pytest.raises(InsufficientArticleError):
-        apply_extra(clean, article, 1, random.Random(0))
+        apply_extra(Alignment(clean, article), 1, random.Random(0))
 
 
 def test_extra_k_zero_is_identity():
     summary, article = _extra_fixture()
-    noisy, indices = apply_extra(summary, article, 0, random.Random(0))
+    noisy, indices = apply_extra(Alignment(summary, article), 0, random.Random(0))
     assert noisy is summary
     assert indices == []
 
@@ -347,8 +391,8 @@ def test_seeds_and_paraphrases_hash_with_hashlib_blake2b():
 
 def test_make_noisy_record_replays_exactly():
     article, clean = synth_docs(1, seed=8)[0]
-    first = make_noisy_record(article, clean, NoiseType.MIXTURE, ONE_NOISY, 42, 1)
-    second = make_noisy_record(article, clean, NoiseType.MIXTURE, ONE_NOISY, 42, 1)
+    first = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, 42, 1)
+    second = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, 42, 1)
     assert first == second
 
 
@@ -357,10 +401,9 @@ def test_generate_emits_three_variants_per_pair(noise_type):
     pairs = synth_docs(100)
     records = noised(pairs, noise_type, base_seed=3)
     assert len(records) == 300
-    per_source: dict[str, list[int]] = {}
-    for record in records:
-        per_source.setdefault(record.source_id, []).append(record.variant_index)
-    assert all(sorted(variants) == [0, 1, 2] for variants in per_source.values())
+    per_source = Counter(record.noisy.source_id for record in records)
+    assert per_source == Counter({clean.source_id: 3 for _, clean in pairs})
+    assert len({record.seed for record in records}) == 300
 
 
 def test_generate_is_deterministic():
@@ -383,6 +426,6 @@ def test_noise_increases_mean_repeat_rate(noise_type):
     pairs = synth_docs(100, seed=23)
     records = noised(pairs, noise_type, base_seed=6, variants=1)
     assert len(records) == 100
-    clean_mean = sum(repeat_rate(r.clean) for r in records) / len(records)
+    clean_mean = sum(repeat_rate(clean) for _, clean in pairs) / len(pairs)
     noisy_mean = sum(repeat_rate(r.noisy) for r in records) / len(records)
     assert noisy_mean > clean_mean

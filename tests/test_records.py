@@ -36,7 +36,7 @@ FROZEN = {
     "NoiseDistribution": (lambda: NoiseDistribution((0.25, 0.75)), "probs"),
     "RougeScore": (lambda: RougeScore(0.5, 0.25, 1 / 3), "f1"),
     "DenoiseResult": (lambda: DenoiseResult(_doc(), (2,)), "output"),
-    "NoisyRecord": (lambda: NoisyRecord("d1", _doc(), _doc(), NoiseType.REPEAT, (1,), 0, 7), "seed"),
+    "NoisyRecord": (lambda: NoisyRecord(_doc(), NoiseType.REPEAT, (1,), 7), "seed"),
     "EditClassification": (lambda: EditClassification(EditKind.DELETED, 1, 0), "kind"),
     "OperationDistribution": (
         lambda: OperationDistribution({kind: 0.25 for kind in EditKind}, {kind: 1 for kind in EditKind}, 4),
