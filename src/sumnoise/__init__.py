@@ -30,6 +30,7 @@ from .noising import (
     apply_extra,
     apply_repeat,
     apply_replace,
+    derive_seed,
     identity_paraphrase,
     make_noisy_record,
     sample_noise_count,
@@ -61,6 +62,7 @@ __all__ = [
     "apply_repeat",
     "apply_replace",
     "classify_edit",
+    "derive_seed",
     "eval_report",
     "external_denoise",
     "identity_paraphrase",

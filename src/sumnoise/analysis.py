@@ -16,6 +16,7 @@ from itertools import zip_longest
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .corpus import CorpusRecord
 from .errors import AlignmentError, EmptyCorpusError
 from .metrics import (
     DEFAULT_OVERLAP_THRESHOLD,
@@ -155,14 +156,14 @@ def classify_edit(
 
 
 def aggregate_operations(
-    pairs: Iterable[tuple[SummaryDoc, SummaryDoc]],
+    pairs: Iterable[tuple[CorpusRecord, CorpusRecord]],
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> OperationDistribution:
-    """Distribution of edit kinds over a stream of (before, after) pairs."""
+    """Distribution of edit kinds over (before, after) record pairs, classified on their ``working_doc()``."""
     counts = {kind: 0 for kind in EditKind}
     total = 0
     for before, after in pairs:
-        counts[classify_edit(before, after, match_threshold).kind] += 1
+        counts[classify_edit(before.working_doc(), after.working_doc(), match_threshold).kind] += 1
         total += 1
     if total == 0:
         raise EmptyCorpusError("no before/after pairs to aggregate")
@@ -170,40 +171,38 @@ def aggregate_operations(
     return OperationDistribution(fractions=fractions, counts=counts, sample_count=total)
 
 
-def aligned_pairs(
-    before: Iterable[SummaryDoc], after: Iterable[SummaryDoc]
-) -> Iterator[tuple[SummaryDoc, SummaryDoc]]:
-    """Zip a before and an after stream, insisting that their record ids line up.
+def aligned_pairs(before: Iterable[CorpusRecord], after: Iterable[CorpusRecord]) -> Iterator[tuple[CorpusRecord, CorpusRecord]]:
+    """Zip a before and an after record stream, insisting that their ids line up.
 
-    Each step reads a before-document, then an after-document, then checks
-    them: a stream that ended alone raises AlignmentError naming the other's
+    Each step reads a before-record, then an after-record, then checks them:
+    a stream that ended alone raises AlignmentError naming the other's
     record, and a pair with two ids raises AlignmentError naming both.
     """
     missing = object()
-    for before_doc, after_doc in zip_longest(before, after, fillvalue=missing):
-        # ``is``, not ``in``: a membership test would call SummaryDoc.__eq__.
-        if before_doc is missing or after_doc is missing:
-            present = after_doc if before_doc is missing else before_doc
+    for before_record, after_record in zip_longest(before, after, fillvalue=missing):
+        # ``is``, not ``in``: a membership test would compare the records.
+        if before_record is missing or after_record is missing:
+            present = after_record if before_record is missing else before_record
             raise AlignmentError(
-                f"streams have different lengths; unmatched record {present.source_id!r}"
+                f"streams have different lengths; unmatched record {present.id!r}"
             )
-        if before_doc.source_id != after_doc.source_id:
+        if before_record.id != after_record.id:
             raise AlignmentError(
-                f"record ids diverge: {before_doc.source_id!r} vs {after_doc.source_id!r}"
+                f"record ids diverge: {before_record.id!r} vs {after_record.id!r}"
             )
-        yield before_doc, after_doc
+        yield before_record, after_record
 
 
 def eval_report(
-    pairs: Iterable[tuple[SummaryDoc, SummaryDoc]],
+    pairs: Iterable[tuple[CorpusRecord, CorpusRecord]],
     references: Callable[[str], SummaryDoc] | None = None,
     repetition_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
 ) -> EvalReport:
-    """Build before/after metric rows over a stream of (before, after) pairs.
+    """Build before/after metric rows over a stream of (before, after) record pairs.
 
-    ``pairs`` come as ``aligned_pairs`` yields them. ``references``, when
-    given, maps a record id to its reference summary; it is called once per
-    pair, after the pair is read and its ids checked.
+    ``pairs`` come as ``aligned_pairs`` yields them; each record is scored on
+    its ``working_doc()``. ``references``, when given, maps a record id to its
+    reference summary; each pair calls it once, after building both documents.
 
     Each row reports mean ROUGE-1/2/L F1 against the references (when
     supplied), mean Repeat rate, mean sentence and token counts, and the
@@ -213,8 +212,9 @@ def eval_report(
         "before": MetricAccumulator(repetition_threshold),
         "after": MetricAccumulator(repetition_threshold),
     }
-    for before_doc, after_doc in pairs:
-        reference = None if references is None else references(before_doc.source_id)
+    for before, after in pairs:
+        before_doc, after_doc = before.working_doc(), after.working_doc()
+        reference = None if references is None else references(before.id)
         scores = systems["before"].add(before_doc, reference)
         # Every score depends only on the sentences and the reference, so an
         # unchanged document adds the before-document's scores as they are.

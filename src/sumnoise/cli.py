@@ -20,7 +20,6 @@ import re
 import signal
 import stat
 import sys
-from collections import deque
 from typing import IO, Callable, Iterator, Sequence
 
 from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
@@ -38,6 +37,7 @@ from .noising import (
     DropTokenParaphraser,
     NoiseDistribution,
     NoiseType,
+    derive_seed,
     identity_paraphrase,
     make_noisy_record,
 )
@@ -62,7 +62,7 @@ def _unit_interval(text: str) -> float:
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of --variants: an int of at least 1."""
+    """argparse type of --variants, and of ``sumnoise.synth``'s --records: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -248,11 +248,9 @@ def _report(args: argparse.Namespace, payload: dict, text: str) -> None:
     print(text)
 
 
-def _pairs(args: argparse.Namespace) -> Iterator[tuple[SummaryDoc, SummaryDoc]]:
-    """The documents under study of the -b and -a corpora, paired by ``aligned_pairs``."""
-    before = (record.working_doc() for record in read_corpus(args.before))
-    after = (record.working_doc() for record in read_corpus(args.after))
-    return aligned_pairs(before, after)
+def _pairs(args: argparse.Namespace) -> Iterator[tuple[CorpusRecord, CorpusRecord]]:
+    """The records of the -b and -a corpora, paired by ``aligned_pairs``."""
+    return aligned_pairs(read_corpus(args.before), read_corpus(args.after))
 
 
 # --- noise ---------------------------------------------------------------
@@ -283,8 +281,9 @@ def cmd_noise(args: argparse.Namespace) -> int:
                 continue
             alignment = Alignment(clean, article)
             for variant in range(args.variants):
+                seed = derive_seed(args.seed, record.id, variant)
                 try:
-                    noisy = make_noisy_record(alignment, noise_type, args.dist, args.seed, variant, paraphraser)
+                    noisy = make_noisy_record(alignment, noise_type, args.dist, seed, paraphraser)
                 except SumnoiseError as error:
                     print(
                         f"sumnoise: skipped record {record.id!r} variant {variant}: {error}",
@@ -302,7 +301,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
                         "noise_type": noisy.noise_type.value,
                         "noised_indices": list(noisy.noised_indices),
                         "variant_index": variant,
-                        "seed": noisy.seed,
+                        "seed": seed,
                     },
                 ))
                 out.write(line + "\n")
@@ -338,17 +337,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                     "deleted_indices": list(result.deleted_indices),
                 }) + "\n")
             return 0
-        # The adapter reads the corpus ahead of the command's output; each
-        # record waits here until the command's line for it comes back.
-        pending: deque[CorpusRecord] = deque()
-
-        def docs() -> Iterator[SummaryDoc]:
-            for record in records:
-                pending.append(record)
-                yield record.working_doc()
-
-        for doc in external_denoise(docs(), argv):
-            out.write(_denoised_line(pending.popleft(), doc, {"method": "external"}) + "\n")
+        for record, doc in external_denoise(records, argv):
+            out.write(_denoised_line(record, doc, {"method": "external"}) + "\n")
     return 0
 
 

@@ -47,7 +47,7 @@ class CorpusRecord(NamedTuple):
     def _document(self, sentences: list[str]) -> SummaryDoc:
         """``make_document`` of one field; a sentence without tokens raises an error naming the record."""
         try:
-            return make_document(sentences, source_id=self.id)
+            return make_document(sentences)
         except EmptySentenceError as error:
             raise EmptySentenceError(f"record {self.id!r}: {error}") from error
 

@@ -19,13 +19,14 @@ import signal
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .corpus import CorpusRecord
 from .errors import InvalidCommandError, InvalidThresholdError, ProtocolViolationError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .text import SummaryDoc, TokenizedSentence, cached_tokenize, has_tokens, unigram_overlap
 
 SENTENCE_SEPARATOR = "<S>"
 # Bytes of protocol lines the adapter queues ahead of the command: it reads
-# the next document only while less than this waits to be sent.
+# the next record only while less than this waits to be sent.
 _BLOCK = 64 * 1024
 
 
@@ -50,7 +51,7 @@ def overlap_denoise(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOL
             deleted.append(i)
         else:
             kept.append(sent)
-    return DenoiseResult(SummaryDoc(tuple(kept), source_id=doc.source_id), tuple(deleted))
+    return DenoiseResult(SummaryDoc(tuple(kept)), tuple(deleted))
 
 
 def command_argv(command: Sequence[str] | str) -> list[str]:
@@ -73,15 +74,15 @@ def command_argv(command: Sequence[str] | str) -> list[str]:
     return argv
 
 
-def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -> Iterator[SummaryDoc]:
-    """Pipe summaries through an external line-filter command.
+def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | str) -> Iterator[tuple[CorpusRecord, SummaryDoc]]:
+    """Pipe each record's ``working_doc()`` through an external line-filter command.
 
-    Writes one UTF-8 line per document (sentences joined by
-    ``SENTENCE_SEPARATOR``) to the command's stdin and yields one re-parsed
-    document per output line. Sentences containing the separator or a newline
-    are rejected before their line is queued. A missing, extra, unparseable
-    or non-UTF-8 output line raises ProtocolViolationError naming the
-    offending record.
+    Writes one UTF-8 line per record (sentences joined by
+    ``SENTENCE_SEPARATOR``) to the command's stdin and yields each record
+    with the document re-parsed from its output line. Sentences containing
+    the separator or a newline are rejected before their line is queued. A
+    missing, extra, unparseable or non-UTF-8 output line raises
+    ProtocolViolationError naming the offending record.
 
     One thread does all the work: it queues lines until a block of bytes
     waits to be sent, and ``select.poll`` tells it when the command can take
@@ -90,13 +91,14 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     filters that answer line by line and with filters that read all their
     input first.
 
-    An error raised while iterating ``docs``, or a failed write to the
-    command (a ProtocolViolationError), is held: no further document is
-    read, stdin is closed once the lines already queued are sent, and the
-    output lines still due are yielded, or raise their own error, before the
-    held error is raised. A last output line without a newline is still a
-    line. An empty or unsplittable command raises InvalidCommandError (see
-    ``command_argv``) on the first ``next``, before any process starts.
+    An error raised while iterating ``records`` or building a document, or a
+    failed write to the command (a ProtocolViolationError), is held: no
+    further record is read, stdin is closed once the lines already queued
+    are sent, and the output lines still due are yielded, or raise their own
+    error, before the held error is raised. A last output line without a
+    newline is still a line. An empty or unsplittable command raises
+    InvalidCommandError (see ``command_argv``) on the first ``next``, before
+    any process starts.
 
     The command runs in its own session. A run that ends before the command
     has exited (an error, a signal, or a caller that stops iterating) kills
@@ -118,27 +120,27 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
     poller = select.poll()
     poller.register(stdin, select.POLLOUT)
     poller.register(stdout, select.POLLIN)
-    docs = iter(docs)
+    records = iter(records)
     unsent = bytearray()  # queued lines the command has not taken yet
-    pending: deque[str] = deque()  # source ids of the queued lines still owed an output line
+    pending: deque[CorpusRecord] = deque()  # the records of queued lines still owed an output line
     queued = 0  # lines queued so far
     held: Exception | None = None
     pulling = writing = reading = True
     partial = b""  # output after the last newline
 
     def pull() -> None:
-        """Queue documents while less than a block waits to be sent, or none is owed a line."""
+        """Queue records while less than a block waits to be sent, or none is owed a line."""
         nonlocal queued, held, pulling
         while pulling and (len(unsent) < _BLOCK or not pending):
             try:
-                doc = next(docs)
-                unsent.extend(_protocol_line(doc))
+                record = next(records)
+                unsent.extend(_protocol_line(record.id, record.working_doc()))
             except StopIteration:
                 pulling = False
             except Exception as error:  # raised once the output still due is read
                 held, pulling = error, False
             else:
-                pending.append(doc.source_id)
+                pending.append(record)
                 queued += 1
 
     try:
@@ -180,12 +182,13 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
                             raise held or ProtocolViolationError(
                                 "external command emitted more lines than it was given"
                             )
-                    yield _parse_line(line, pending.popleft(), end)
+                    record = pending.popleft()
+                    yield record, _parse_line(line, record.id, end)
         if held is not None:
             raise held
         if pending:
             raise ProtocolViolationError(
-                f"no output line for record {pending[0]!r} (input line {queued - len(pending) + 1})"
+                f"no output line for record {pending[0].id!r} (input line {queued - len(pending) + 1})"
             )
         returncode = proc.wait()
         if returncode != 0:
@@ -202,18 +205,18 @@ def external_denoise(docs: Iterable[SummaryDoc], command: Sequence[str] | str) -
             proc.wait()
 
 
-def _protocol_line(doc: SummaryDoc) -> bytes:
+def _protocol_line(record_id: str, doc: SummaryDoc) -> bytes:
     """The stdin line of ``doc``, newline included; refuses text the protocol cannot carry."""
     for sent in doc.sentences:
         if SENTENCE_SEPARATOR in sent.raw:
             raise ProtocolViolationError(
-                f"record {doc.source_id!r}: sentence contains "
+                f"record {record_id!r}: sentence contains "
                 f"separator token {SENTENCE_SEPARATOR!r}"
             )
     line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
     if "\n" in line:
         raise ProtocolViolationError(
-            f"record {doc.source_id!r}: sentence contains a newline, "
+            f"record {record_id!r}: sentence contains a newline, "
             "which would end its protocol line early"
         )
     try:
@@ -222,18 +225,18 @@ def _protocol_line(doc: SummaryDoc) -> bytes:
         raise ProtocolViolationError(f"failed writing to external command: {error}") from error
 
 
-def _parse_line(raw_line: bytes, source_id: str, end: str) -> SummaryDoc:
+def _parse_line(raw_line: bytes, record_id: str, end: str) -> SummaryDoc:
     """The document of one output line; ``end`` is the newline that ended it, if any."""
     try:
         line = raw_line.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ProtocolViolationError(
-            f"record {source_id!r}: output line is not valid UTF-8: {error}"
+            f"record {record_id!r}: output line is not valid UTF-8: {error}"
         ) from error
     pieces = (piece.strip() for piece in line.split(SENTENCE_SEPARATOR))
     sentences = tuple(map(cached_tokenize, filter(has_tokens, pieces)))
     if not sentences:
         raise ProtocolViolationError(
-            f"record {source_id!r}: unparseable output line {line + end!r}"
+            f"record {record_id!r}: unparseable output line {line + end!r}"
         )
-    return SummaryDoc(sentences, source_id=source_id)
+    return SummaryDoc(sentences)

@@ -9,9 +9,9 @@ Three corruptions, all of which inject repeated or peripheral content:
 
 How many sentences get corrupted is sampled per variant from a noise-count
 distribution (default: 15% of variants untouched, 85% with one noisy
-sentence). Every variant derives its own 64-bit seed from the run seed, the
-record id, and the variant index, so generation replays exactly, and a
-corpus noised in shards concatenates to the same output. A record's clean
+sentence). ``derive_seed`` mixes the run seed, the record id, and the variant
+index into each variant's own 64-bit seed, so generation replays exactly, and
+a corpus noised in shards concatenates to the same output. A record's clean
 summary and article reach the noise functions as one ``Alignment``.
 """
 
@@ -80,7 +80,6 @@ class NoisyRecord(NamedTuple):
     noisy: SummaryDoc
     noise_type: NoiseType
     noised_indices: tuple[int, ...]
-    seed: int
 
 
 def sample_noise_count(dist: NoiseDistribution, rng: random.Random) -> int:
@@ -143,7 +142,7 @@ def apply_repeat(
     else:
         picks = [rng.randrange(n) for _ in range(k)]
     appended = tuple(clean.sentences[i] for i in picks)
-    noisy = SummaryDoc(clean.sentences + appended, source_id=clean.source_id)
+    noisy = SummaryDoc(clean.sentences + appended)
     return noisy, list(range(n, n + k))
 
 
@@ -166,7 +165,7 @@ def apply_replace(alignment: Alignment, k: int, rng: random.Random) -> tuple[Sum
     sentences = list(clean.sentences)
     for pos in positions:
         sentences[pos] = alignment.article.sentences[alignment.closest(pos)]
-    return SummaryDoc(tuple(sentences), source_id=clean.source_id), positions
+    return SummaryDoc(tuple(sentences)), positions
 
 
 def apply_extra(
@@ -204,7 +203,7 @@ def apply_extra(
             output.append(paraphraser(article.sentences[draws.pop()]))
         if i < len(clean):
             output.append(clean.sentences[i])
-    return SummaryDoc(tuple(output), source_id=clean.source_id), inserted_at
+    return SummaryDoc(tuple(output)), inserted_at
 
 
 class DropTokenParaphraser:
@@ -226,9 +225,9 @@ class DropTokenParaphraser:
         return drop_token(sentence, drop)
 
 
-def derive_seed(base_seed: int, source_id: str, variant_index: int) -> int:
+def derive_seed(base_seed: int, record_id: str, variant_index: int) -> int:
     """Mix the run seed, record id, and variant into an independent 64-bit seed."""
-    return _stable_hash64(f"{base_seed}:{variant_index}:{source_id}".encode("utf-8"))
+    return _stable_hash64(f"{base_seed}:{variant_index}:{record_id}".encode("utf-8"))
 
 
 def _stable_hash64(payload: bytes) -> int:
@@ -246,19 +245,17 @@ def make_noisy_record(
     alignment: Alignment,
     noise_type: NoiseType,
     dist: NoiseDistribution,
-    base_seed: int,
-    variant_index: int,
+    seed: int,
     paraphraser: Paraphraser = identity_paraphrase,
 ) -> NoisyRecord:
-    """Produce one noisy variant of ``alignment.clean``.
+    """Produce one noisy variant of ``alignment.clean`` from its own ``seed`` (see ``derive_seed``).
 
     For mixture the concrete noise type is drawn first, then the noise count,
-    then the corruption itself, all from the variant's derived seed; replaying
-    the same inputs reproduces the variant exactly. Pass the same
-    ``alignment`` to every variant of a record to align it once.
+    then the corruption itself, all from ``seed``; replaying the same inputs
+    reproduces the variant exactly. Pass the same ``alignment`` to every
+    variant of a record to align it once.
     """
     clean = alignment.clean
-    seed = derive_seed(base_seed, clean.source_id, variant_index)
     rng = random.Random(seed)
     concrete = noise_type
     if noise_type is NoiseType.MIXTURE:
@@ -270,4 +267,4 @@ def make_noisy_record(
         noisy, indices = apply_replace(alignment, k, rng)
     else:
         noisy, indices = apply_extra(alignment, k, rng, paraphraser)
-    return NoisyRecord(noisy, concrete, tuple(indices), seed)
+    return NoisyRecord(noisy, concrete, tuple(indices))

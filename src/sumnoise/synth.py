@@ -17,6 +17,7 @@ import argparse
 import random
 from typing import Sequence
 
+from .cli import _at_least_one
 from .corpus import CorpusRecord, write_corpus
 
 _SHARED_WORDS = ("the", "on", "in", "with", "said")
@@ -77,7 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m sumnoise.synth",
         description="Write a deterministic synthetic article/summary corpus.",
     )
-    parser.add_argument("--records", type=int, default=50)
+    parser.add_argument("--records", type=_at_least_one, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args(argv)

@@ -101,16 +101,15 @@ class TokenizedSentence(FrozenValue):
 
 
 class SummaryDoc(FrozenValue):
-    """An ordered sequence of at least one sentence, with an opaque record identifier."""
+    """An ordered sequence of at least one sentence; the record that holds it owns its id."""
 
-    __slots__ = ("sentences", "source_id", "_all_tokens", "_tables")
-    _fields = ("sentences", "source_id")
+    __slots__ = ("sentences", "_all_tokens", "_tables")
+    _fields = ("sentences",)
 
-    def __init__(self, sentences: tuple[TokenizedSentence, ...], source_id: str = "") -> None:
+    def __init__(self, sentences: tuple[TokenizedSentence, ...]) -> None:
         if not sentences:
-            raise EmptyDocumentError(f"no sentences in document {source_id!r}")
+            raise EmptyDocumentError("no sentences in document")
         object.__setattr__(self, "sentences", sentences)
-        object.__setattr__(self, "source_id", source_id)
         object.__setattr__(self, "_all_tokens", None)
         # The ROUGE tables of ``ngram_counts`` and ``match_masks``, keyed by n
         # and by 0 for the masks. Not a field: equality, hash, repr and pickle
@@ -198,9 +197,9 @@ def has_tokens(raw: str) -> bool:
     return _TOKEN_CHAR.search(raw) is not None
 
 
-def make_document(sentences: Iterable[str], source_id: str = "") -> SummaryDoc:
+def make_document(sentences: Iterable[str]) -> SummaryDoc:
     """Tokenize pre-split sentence strings into a SummaryDoc, through ``cached_tokenize``."""
-    return SummaryDoc(tuple(map(cached_tokenize, sentences)), source_id=source_id)
+    return SummaryDoc(tuple(map(cached_tokenize, sentences)))
 
 
 def split_sentences(raw_text: str) -> list[str]:

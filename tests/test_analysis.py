@@ -17,6 +17,7 @@ from sumnoise.analysis import (
     classify_edit,
     eval_report,
 )
+from sumnoise.corpus import CorpusRecord
 from sumnoise.denoise import overlap_denoise
 from sumnoise.errors import AlignmentError, EmptyCorpusError
 from sumnoise.metrics import repeat_rate, repetition_count, rouge_l, rouge_n, summary_stats
@@ -26,6 +27,7 @@ from sumnoise.noising import (
     Alignment,
     NoiseDistribution,
     NoiseType,
+    derive_seed,
     make_noisy_record,
     sentence_similarity,
 )
@@ -34,13 +36,25 @@ from sumnoise.text import SummaryDoc, TokenizedSentence, make_document, tokenize
 
 
 def noised_records(records: int, seed: int = 19):
+    """Mixture-noised variants of a synth corpus, with ids and seeds as ``noise --seed <seed>`` gives them."""
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    alignments = [Alignment(r.summary_doc(), r.article_doc()) for r in synth_corpus(records, seed)]
-    return [
-        make_noisy_record(alignment, NoiseType.MIXTURE, dist, seed, variant)
-        for alignment in alignments
-        for variant in range(DEFAULT_VARIANTS)
-    ]
+    out = []
+    for record in synth_corpus(records, seed):
+        alignment = Alignment(record.summary_doc(), record.article_doc())
+        for variant in range(DEFAULT_VARIANTS):
+            noisy = make_noisy_record(alignment, NoiseType.MIXTURE, dist, derive_seed(seed, record.id, variant))
+            out.append(record._replace(id=f"{record.id}.v{variant}", noisy=noisy.noisy.raw_sentences()))
+    return out
+
+
+def denoised(record):
+    """The record with its working summary overlap-denoised, as ``denoise`` writes it."""
+    return record._replace(noisy=overlap_denoise(record.working_doc()).output.raw_sentences())
+
+
+def summary_record(sentences, record_id="r1"):
+    """A record whose working summary is ``sentences``; no score reads its article."""
+    return CorpusRecord(record_id, ["An article."], sentences)
 
 
 # --- classify_edit ----------------------------------------------------------
@@ -60,7 +74,7 @@ SENTENCE_POOL = ["a b", "b a", "a b b", "A, b!", "a c", "c", "c a b", "b c a."]
 
 def equal_copy(doc):
     """A document equal to ``doc`` that shares none of its sentence objects."""
-    return SummaryDoc(tuple(TokenizedSentence(s.raw, s.tokens) for s in doc.sentences), doc.source_id)
+    return SummaryDoc(tuple(TokenizedSentence(s.raw, s.tokens) for s in doc.sentences))
 
 
 @settings(derandomize=True, max_examples=300)
@@ -129,10 +143,11 @@ def test_verbatim_matching_is_order_insensitive():
 
 def test_overlap_denoise_outputs_classify_as_deletions():
     for record in noised_records(120):
-        result = overlap_denoise(record.noisy)
+        doc = record.working_doc()
+        result = overlap_denoise(doc)
         if not result.deleted_indices:
             continue
-        classification = classify_edit(record.noisy, result.output)
+        classification = classify_edit(doc, result.output)
         assert classification.kind in (EditKind.DELETED, EditKind.DELETED_AND_MODIFIED)
         assert classification.deleted_count == len(result.deleted_indices)
 
@@ -141,18 +156,18 @@ def test_overlap_denoise_outputs_classify_as_deletions():
 
 
 def test_aggregate_all_identical_pairs():
-    doc = make_document(["a b c"])
-    distribution = aggregate_operations([(doc, doc)] * 5)
+    record = summary_record(["a b c"])
+    distribution = aggregate_operations([(record, record)] * 5)
     assert distribution.sample_count == 5
     assert distribution.fractions[EditKind.NO_CHANGE] == 1.0
     assert distribution.counts[EditKind.DELETED] == 0
 
 
 def test_aggregate_known_synthetic_corpus():
-    unchanged = make_document(["a b c", "d e f"])
-    shorter = make_document(["a b c"])
-    edited = make_document(["a b q", "d e f"])
-    both = make_document(["a b q"])
+    unchanged = summary_record(["a b c", "d e f"])
+    shorter = summary_record(["a b c"])
+    edited = summary_record(["a b q", "d e f"])
+    both = summary_record(["a b q"])
     pairs = (
         [(unchanged, unchanged)] * 4
         + [(unchanged, shorter)] * 3
@@ -168,7 +183,7 @@ def test_aggregate_known_synthetic_corpus():
 
 
 def test_aggregate_fractions_sum_to_one():
-    pairs = [(record.noisy, overlap_denoise(record.noisy).output) for record in noised_records(90)]
+    pairs = [(record, denoised(record)) for record in noised_records(90)]
     distribution = aggregate_operations(pairs)
     assert sum(distribution.fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -182,16 +197,19 @@ def test_aggregate_empty_stream():
 
 
 def test_aligned_pairs_checks_ids():
-    a = [make_document(["a b"], source_id="x1"), make_document(["c d"], source_id="x2")]
-    b = [make_document(["a b"], source_id="x1"), make_document(["c d"], source_id="zz")]
+    a = [summary_record(["a b"], "x1"), summary_record(["c d"], "x2")]
+    b = [summary_record(["a b"], "x1"), summary_record(["c d"], "zz")]
+    pairs = aligned_pairs(a, b)
+    before, after = next(pairs)
+    assert before is a[0] and after is b[0]  # the records themselves
     with pytest.raises(AlignmentError) as excinfo:
-        list(aligned_pairs(a, b))
+        next(pairs)
     assert str(excinfo.value) == "record ids diverge: 'x2' vs 'zz'"
 
 
 def test_aligned_pairs_checks_lengths():
-    a = [make_document(["a b"], source_id="x1")]
-    b = [make_document(["a b"], source_id="x1"), make_document(["c d"], source_id="x2")]
+    a = [summary_record(["a b"], "x1")]
+    b = [summary_record(["a b"], "x1"), summary_record(["c d"], "x2")]
     with pytest.raises(AlignmentError) as excinfo:
         list(aligned_pairs(a, b))
     assert str(excinfo.value) == "streams have different lengths; unmatched record 'x2'"
@@ -200,17 +218,17 @@ def test_aligned_pairs_checks_lengths():
 # --- eval_report ---------------------------------------------------------------
 
 
-def docs_with_ids(texts_by_id):
-    return [make_document(texts, source_id=i) for i, texts in texts_by_id]
+def records_with_ids(texts_by_id):
+    return [summary_record(texts, record_id) for record_id, texts in texts_by_id]
 
 
-def by_id(docs):
-    return {doc.source_id: doc for doc in docs}.__getitem__
+def by_id(records):
+    return {record.id: record.working_doc() for record in records}.__getitem__
 
 
 def test_eval_report_identical_streams_have_identical_rows():
-    docs = docs_with_ids([("a", ["x y z", "p q"]), ("b", ["m n o"])])
-    report = eval_report(aligned_pairs(docs, docs))
+    records = records_with_ids([("a", ["x y z", "p q"]), ("b", ["m n o"])])
+    report = eval_report(aligned_pairs(records, records))
     before, after = report.rows
     assert before.system == "before" and after.system == "after"
     assert (before.repeat_rate, before.mean_sentences, before.mean_tokens) == (
@@ -235,27 +253,28 @@ def test_eval_report_identical_streams_have_identical_rows():
     st.booleans(),
 )
 def test_eval_report_rows_equal_scoring_each_side_on_its_own(pairs, with_references):
-    before, after, references = [], [], []
+    before, after, references = [], [], {}
     for i, (sents, change, other) in enumerate(pairs):
-        doc = make_document(sents, source_id=f"r{i}")
-        before.append(doc)
+        record = CorpusRecord(f"r{i}", ["An article."], other, noisy=sents)
+        before.append(record)
         if change == "same":
-            after.append(doc)
-        elif change == "copy":
-            after.append(equal_copy(doc))
+            after.append(record)
+        elif change == "copy":  # the same working summary, read from the summary field
+            after.append(summary_record(list(sents), record.id))
         else:
-            after.append(make_document(other, source_id=f"r{i}"))
-        references.append(make_document(other[::-1], source_id=f"r{i}"))
-    report = eval_report(aligned_pairs(before, after), by_id(references) if with_references else None)
+            after.append(record._replace(noisy=other))
+        references[record.id] = make_document(other[::-1])
+    report = eval_report(aligned_pairs(before, after), references.__getitem__ if with_references else None)
     # Each column from the metric functions themselves, summed document by
     # document in stream order, as a report sums them.
     n = len(before)
     expected = []
-    for system, docs in (("before", before), ("after", after)):
+    for system, records in (("before", before), ("after", after)):
+        docs = [record.working_doc() for record in records]
         rouge = [None] * 3
         if with_references:
             rouge = [
-                100.0 * running_sum(score(doc, ref).f1 for doc, ref in zip(docs, references)) / n
+                100.0 * running_sum(score(doc, ref).f1 for doc, ref in zip(docs, references.values())) / n
                 for score in (functools.partial(rouge_n, n=1), functools.partial(rouge_n, n=2), rouge_l)
             ]
         expected.append(SystemReport(
@@ -283,19 +302,20 @@ def test_eval_report_rows_do_not_depend_on_sharing_the_reference_object():
     clean = {r.id: r.summary_doc() for r in synth_corpus(20, 19)}
     assert len(noised) > len(clean)
 
-    def report(references):
-        before = [SummaryDoc(n.noisy.sentences, n.noisy.source_id) for n in noised]
-        after = [overlap_denoise(doc).output for doc in before]
-        return eval_report(aligned_pairs(before, after), references)
+    def report(reference):
+        def by_variant_id(record_id):  # without its .vN suffix, as eval -r looks it up
+            return reference(record_id.rsplit(".v", 1)[0])
+
+        return eval_report(aligned_pairs(noised, map(denoised, noised)), by_variant_id)
 
     shared = report(clean.__getitem__)
-    assert shared.rows == report(lambda record_id: equal_copy(clean[record_id])).rows
+    assert shared.rows == report(lambda clean_id: equal_copy(clean[clean_id])).rows
     assert shared.rows[0].rouge1 is not None
 
 
 def test_eval_report_self_references_score_hundred():
-    docs = docs_with_ids([("a", ["x y z", "p q"]), ("b", ["m n o"])])
-    report = eval_report(aligned_pairs(docs, docs), references=by_id(docs))
+    records = records_with_ids([("a", ["x y z", "p q"]), ("b", ["m n o"])])
+    report = eval_report(aligned_pairs(records, records), references=by_id(records))
     after = report.rows[1]
     assert after.rouge1 == pytest.approx(100.0)
     assert after.rouge2 == pytest.approx(100.0)
@@ -304,16 +324,14 @@ def test_eval_report_self_references_score_hundred():
 
 def test_eval_report_denoising_lowers_repeat_column():
     records = noised_records(100)
-    before = [record.noisy for record in records]
-    after = [overlap_denoise(record.noisy).output for record in records]
-    report = eval_report(aligned_pairs(before, after))
+    report = eval_report(aligned_pairs(records, map(denoised, records)))
     assert report.rows[1].repeat_rate < report.rows[0].repeat_rate
     assert report.rows[1].repetition_total <= report.rows[0].repetition_total
 
 
 def test_eval_report_alignment_error_names_record():
-    before = docs_with_ids([("a", ["x y"])])
-    after = docs_with_ids([("mismatch", ["x y"])])
+    before = records_with_ids([("a", ["x y"])])
+    after = records_with_ids([("mismatch", ["x y"])])
     with pytest.raises(AlignmentError) as excinfo:
         eval_report(aligned_pairs(before, after))
     assert str(excinfo.value) == "record ids diverge: 'a' vs 'mismatch'"
@@ -325,8 +343,8 @@ def test_eval_report_empty_streams():
 
 
 def test_eval_report_serialization_shapes():
-    docs = docs_with_ids([("a", ["x y z"])])
-    report = eval_report(aligned_pairs(docs, docs), references=by_id(docs))
+    records = records_with_ids([("a", ["x y z"])])
+    report = eval_report(aligned_pairs(records, records), references=by_id(records))
     payload = report.to_dict()
     assert [row["system"] for row in payload["systems"]] == ["before", "after"]
     tsv = report.to_tsv()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from sumnoise import noising
+from sumnoise import noising, synth
 from sumnoise.cli import cli_main
 from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
 
@@ -114,6 +114,16 @@ def test_noise_rejects_zero_variants(tmp_path, fixture_corpus, capsys):
     out = tmp_path / "noised.jsonl"
     assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(out), "--variants", "0"]) == 2
     assert "argument --variants: must be at least 1, got '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("records", ["0", "-5"])
+def test_synth_refuses_fewer_than_one_record(tmp_path, capsys, records):
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as exit_request:
+        synth.main(["--records", records, "-o", str(out)])
+    assert exit_request.value.code == 2
+    assert f"argument --records: must be at least 1, got '{records}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -629,6 +639,35 @@ def test_eval_checks_record_ids_before_looking_up_the_reference(tmp_path, capsys
     write_corpus([records[record_id] for record_id in after_ids], after)
     assert cli_main(["eval", "-b", str(before), "-a", str(after), "-r", str(corpus)]) == 1
     assert capsys.readouterr().err == f"sumnoise: error: {message}\n"
+
+
+# In each case one side holds a record 'a1' whose noisy text has a sentence
+# without tokens. A pair is read and its ids checked before its documents
+# are built, so the bad line or the id mismatch is reported instead.
+ID_ERRORS_BEFORE_EMPTY_SENTENCES = {
+    "diverging-ids": ("{bad}", "{zz}", "record ids diverge: 'a1' vs 'zz'"),
+    "shorter-after": ("{bad}", "", "streams have different lengths; unmatched record 'a1'"),
+    "shorter-before": ("", "{bad}", "streams have different lengths; unmatched record 'a1'"),
+    "malformed-after": ("{bad}", '{{"id": "a1"}}\n', "line 2: missing 'article'"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["eval", "analyze"])
+@pytest.mark.parametrize("case", sorted(ID_ERRORS_BEFORE_EMPTY_SENTENCES))
+def test_a_pair_is_checked_before_its_documents_are_built(tmp_path, capsys, subcommand, case):
+    before_tail, after_tail, message = ID_ERRORS_BEFORE_EMPTY_SENTENCES[case]
+    ok = record_to_line(CorpusRecord(id="ok", article=["alpha beta"], summary=["alpha beta"])) + "\n"
+    lines = {
+        "bad": record_to_line(CorpusRecord(id="a1", article=["gamma"], summary=["gamma"], noisy=["gamma", "?!"])) + "\n",
+        "zz": record_to_line(CorpusRecord(id="zz", article=["gamma"], summary=["gamma"])) + "\n",
+    }
+    before, after, out = tmp_path / "before.jsonl", tmp_path / "after.jsonl", tmp_path / "out.json"
+    before.write_text(ok + before_tail.format(**lines), encoding="utf-8")
+    after.write_text(ok + after_tail.format(**lines), encoding="utf-8")
+    assert cli_main([subcommand, "-b", str(before), "-a", str(after), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"sumnoise: error: {message}\n")
+    assert not out.exists()
 
 
 def test_eval_with_references_reports_malformed_before_line(tmp_path, capsys):

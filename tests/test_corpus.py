@@ -125,12 +125,6 @@ def test_working_doc_prefers_noisy():
     assert sample_records()[0].working_doc().raw_sentences() == ["one two.", "four five."]
 
 
-def test_docs_carry_record_id():
-    record = sample_records()[0]
-    assert record.article_doc().source_id == "r1"
-    assert record.summary_doc().source_id == "r1"
-
-
 def test_index_offsets_point_at_their_lines_across_blank_lines(tmp_path):
     path = tmp_path / "corpus.jsonl"
     first, second = (record_to_line(record) for record in sample_records())

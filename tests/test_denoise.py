@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import random
 import subprocess
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sumnoise.corpus import CorpusRecord
 from sumnoise.denoise import SENTENCE_SEPARATOR, external_denoise, overlap_denoise
-from sumnoise.errors import InvalidThresholdError, ProtocolViolationError, SumnoiseError
+from sumnoise.errors import EmptySentenceError, InvalidThresholdError, ProtocolViolationError, SumnoiseError
 from sumnoise.metrics import repeat_rate, repetition_count
 from sumnoise.noising import (
     DEFAULT_NOISE_PROBS,
@@ -17,6 +21,7 @@ from sumnoise.noising import (
     NoiseDistribution,
     NoiseType,
     apply_repeat,
+    derive_seed,
     make_noisy_record,
 )
 from sumnoise.synth import synth_corpus
@@ -52,13 +57,16 @@ FAILING = [sys.executable, "-c", "import sys\nsys.stdout.write(sys.stdin.read())
 
 
 def noised_docs(records: int, seed: int = 12, noise_type: NoiseType = NoiseType.MIXTURE):
+    """Every variant of a synth corpus, seeded as ``noise --seed <seed>`` seeds them."""
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    alignments = [Alignment(r.summary_doc(), r.article_doc()) for r in synth_corpus(records, seed)]
-    return [
-        make_noisy_record(alignment, noise_type, dist, seed, variant)
-        for alignment in alignments
-        for variant in range(DEFAULT_VARIANTS)
-    ]
+    out = []
+    for record in synth_corpus(records, seed):
+        alignment = Alignment(record.summary_doc(), record.article_doc())
+        out += [
+            make_noisy_record(alignment, noise_type, dist, derive_seed(seed, record.id, variant))
+            for variant in range(DEFAULT_VARIANTS)
+        ]
+    return out
 
 
 # --- overlap rule ----------------------------------------------------------
@@ -168,44 +176,47 @@ def test_round_trip_repeat_then_denoise_recovers_clean_summary():
 # --- external adapter -------------------------------------------------------
 
 
-def docs_fixture():
+def summary_record(record_id, sentences):
+    """A record whose working summary is ``sentences``; the adapter never reads its article."""
+    return CorpusRecord(record_id, ["An article."], sentences)
+
+
+def records_fixture():
     return [
-        make_document(["alpha beta gamma", "delta epsilon"], source_id="d1"),
-        make_document(["one two three"], source_id="d2"),
-        make_document(["red green", "blue yellow", "black white"], source_id="d3"),
+        summary_record("d1", ["alpha beta gamma", "delta epsilon"]),
+        summary_record("d2", ["one two three"]),
+        summary_record("d3", ["red green", "blue yellow", "black white"]),
     ]
 
 
 def test_external_identity_command_round_trips():
-    docs = docs_fixture()
-    out = list(external_denoise(docs, PASSTHROUGH))
-    assert [d.raw_sentences() for d in out] == [d.raw_sentences() for d in docs]
-    assert [d.source_id for d in out] == ["d1", "d2", "d3"]
+    records = records_fixture()
+    out = list(external_denoise(records, PASSTHROUGH))
+    assert [doc.raw_sentences() for _, doc in out] == [record.summary for record in records]
+    assert [record.id for record, _ in out] == ["d1", "d2", "d3"]
 
 
 def test_external_accepts_shell_style_command_string():
-    docs = docs_fixture()
     command = f"{sys.executable} -c 'import sys; sys.stdout.write(sys.stdin.read())'"
-    out = list(external_denoise(docs, command))
+    out = list(external_denoise(records_fixture(), command))
     assert len(out) == 3
 
 
 def test_external_dropping_a_line_is_a_protocol_violation():
     with pytest.raises(ProtocolViolationError) as excinfo:
-        list(external_denoise(docs_fixture(), DROP_LAST_LINE))
+        list(external_denoise(records_fixture(), DROP_LAST_LINE))
     assert "d3" in str(excinfo.value)
 
 
 def test_external_sentence_deletions_are_accepted():
-    docs = docs_fixture()
-    out = list(external_denoise(docs, DROP_LAST_SENTENCE))
+    out = [doc for _, doc in external_denoise(records_fixture(), DROP_LAST_SENTENCE)]
     assert [len(d) for d in out] == [1, 1, 2]
     assert out[0].raw_sentences() == ["alpha beta gamma"]
     assert out[2].raw_sentences() == ["red green", "blue yellow"]
 
 
 def test_external_rejects_separator_inside_sentence():
-    bad = [make_document([f"hello {SENTENCE_SEPARATOR} there"], source_id="oops")]
+    bad = [summary_record("oops", [f"hello {SENTENCE_SEPARATOR} there"])]
     with pytest.raises(ProtocolViolationError) as excinfo:
         list(external_denoise(bad, PASSTHROUGH))
     assert "oops" in str(excinfo.value)
@@ -214,86 +225,127 @@ def test_external_rejects_separator_inside_sentence():
 def test_external_rejects_a_newline_inside_a_sentence_before_writing_its_line():
     # The newline would split the record's line in two, and every later
     # record would be paired with the wrong output line.
-    docs = [
-        make_document(["alpha beta"], source_id="d1"),
-        make_document(["The cat sat\non the mat.", "It left."], source_id="wrapped"),
-        make_document(["gamma"], source_id="d3"),
+    records = [
+        summary_record("d1", ["alpha beta"]),
+        summary_record("wrapped", ["The cat sat\non the mat.", "It left."]),
+        summary_record("d3", ["gamma"]),
     ]
     out = []
     with pytest.raises(ProtocolViolationError, match="record 'wrapped': sentence contains a newline"):
-        for doc in external_denoise(docs, ["cat"]):
-            out.append(doc)
-    assert [(d.source_id, d.raw_sentences()) for d in out] == [("d1", ["alpha beta"])]
+        for record, doc in external_denoise(records, ["cat"]):
+            out.append((record.id, doc.raw_sentences()))
+    assert out == [("d1", ["alpha beta"])]
 
 
 def test_external_extra_output_line_is_a_protocol_violation():
     with pytest.raises(ProtocolViolationError):
-        list(external_denoise(docs_fixture(), EXTRA_LINE))
+        list(external_denoise(records_fixture(), EXTRA_LINE))
 
 
 def test_external_nonzero_exit_is_a_protocol_violation():
     with pytest.raises(ProtocolViolationError) as excinfo:
-        list(external_denoise(docs_fixture(), FAILING))
+        list(external_denoise(records_fixture(), FAILING))
     assert "status 3" in str(excinfo.value)
 
 
 def test_external_blank_output_line_is_unparseable():
     blank = [sys.executable, "-c", "import sys\nfor line in sys.stdin: sys.stdout.write('\\n')"]
     with pytest.raises(ProtocolViolationError) as excinfo:
-        list(external_denoise(docs_fixture(), blank))
+        list(external_denoise(records_fixture(), blank))
     assert "d1" in str(excinfo.value)
 
 
 def test_external_lines_end_only_at_a_newline():
     # A carriage return inside a sentence is text, not a line break. (A Python
     # filter's text-mode stdin would translate it, so this uses cat.)
-    docs = [make_document(["alpha\rbeta", "gamma"], source_id="cr"), make_document(["delta"], source_id="d")]
-    out = list(external_denoise(docs, ["cat"]))
-    assert [d.raw_sentences() for d in out] == [["alpha\rbeta", "gamma"], ["delta"]]
+    records = [summary_record("cr", ["alpha\rbeta", "gamma"]), summary_record("d", ["delta"])]
+    out = list(external_denoise(records, ["cat"]))
+    assert [doc.raw_sentences() for _, doc in out] == [["alpha\rbeta", "gamma"], ["delta"]]
 
 
 def test_external_reads_a_last_line_without_a_newline():
     # The command answers only after reading all input, and its one line has
     # no trailing newline: the end of its output ends the line.
-    docs = [make_document(["alpha beta"], source_id="d1")]
-    out = list(external_denoise(docs, ["sh", "-c", 'cat >/dev/null; printf "x y <S> z"']))
-    assert [(d.source_id, d.raw_sentences()) for d in out] == [("d1", ["x y", "z"])]
+    records = [summary_record("d1", ["alpha beta"])]
+    out = list(external_denoise(records, ["sh", "-c", 'cat >/dev/null; printf "x y <S> z"']))
+    assert [(record.id, doc.raw_sentences()) for record, doc in out] == [("d1", ["x y", "z"])]
 
 
 def test_external_starts_no_thread():
     # The adapter writes and reads on the calling thread. (Input larger than
     # the pipe buffers is tested in a child process, where a deadlock times out.)
-    docs = docs_fixture()
+    records = records_fixture()
     before = threading.active_count()
-    counts = [threading.active_count() for _ in external_denoise(docs, ["cat"])]
-    assert counts == [before] * len(docs)
+    counts = [threading.active_count() for _ in external_denoise(records, ["cat"])]
+    assert counts == [before] * len(records)
 
 
 def test_external_strips_whitespace_at_sentence_edges_and_keeps_the_tokens():
     # The pieces between separators are stripped, which drops the spaces
     # around " <S> "; so edge whitespace of a sentence does not survive cat.
-    docs = [make_document(["  one two  ", "\tthree four\u00a0"], source_id="ws")]
-    (out,) = external_denoise(docs, ["cat"])
+    records = [summary_record("ws", ["  one two  ", "\tthree four\u00a0"])]
+    ((_, out),) = external_denoise(records, ["cat"])
     assert out.raw_sentences() == ["one two", "three four"]
-    assert out.all_tokens == docs[0].all_tokens
+    assert out.all_tokens == records[0].working_doc().all_tokens
 
 
 def test_external_error_from_the_documents_propagates_unwrapped():
-    def docs():
-        yield from docs_fixture()
+    def records():
+        yield from records_fixture()
         raise ValueError("reading the corpus failed")
 
     with pytest.raises(ValueError, match="reading the corpus failed"):
-        list(external_denoise(docs(), PASSTHROUGH))
+        list(external_denoise(records(), PASSTHROUGH))
+
+
+def streamed_record(index, words_per_sentence, noisy):
+    """Record ``r<index>`` with one sentence per word count, as its noisy text or as its summary."""
+    sentences = [" ".join(f"r{index}s{i}w{j}" for j in range(words)) for i, words in enumerate(words_per_sentence)]
+    if noisy:
+        return CorpusRecord(f"r{index}", ["An article."], ["Not the working summary."], noisy=sentences)
+    return CorpusRecord(f"r{index}", ["An article."], sentences)
+
+
+# A record takes about 4 KB of the input queue on average. The record count
+# is drawn first, so most draws, and both examples, queue more than one block
+# (``denoise._BLOCK``, 64 KB) ahead of the command's output.
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.integers(0, 300).flatmap(lambda n: st.lists(
+        st.tuples(st.lists(st.integers(1, 400), min_size=1, max_size=3), st.booleans()), min_size=n, max_size=n
+    )),
+    st.none() | st.integers(min_value=0),
+)
+@example([([400], True)] * 300, None)
+@example([([400], False)] * 300, 250)
+def test_external_yields_each_record_it_reads_in_order_with_its_own_document(shapes, failing_at):
+    records = [streamed_record(i, words, noisy) for i, (words, noisy) in enumerate(shapes)]
+    stream, expected = records, records
+    if failing_at is not None:
+        # A record whose working_doc() raises: every record before it comes
+        # back, then its error is raised.
+        failing_at %= len(records) + 1
+        bad = CorpusRecord("bad", ["An article."], ["fine words", "-- !?"])
+        stream, expected = records[:failing_at] + [bad] + records[failing_at:], records[:failing_at]
+    for command in (["cat"], ["sh", "-c", "tac | tac"]):
+        out = []
+        raises = pytest.raises(EmptySentenceError, match="^record 'bad': no tokens in sentence: '-- !\\?'$")
+        with raises if failing_at is not None else contextlib.nullcontext():
+            for pair in external_denoise(iter(stream), command):
+                out.append(pair)
+        assert len(out) == len(expected)
+        for (record, doc), sent in zip(out, expected):
+            assert record is sent
+            assert doc.raw_sentences() == (sent.summary if sent.noisy is None else sent.noisy)
 
 
 def test_external_failed_write_is_a_protocol_violation():
-    # The command exits without reading; the documents outgrow any pipe buffer,
+    # The command exits without reading; the summaries outgrow any pipe buffer,
     # so some write to its stdin must fail.
     line = "word " * 1000
-    docs = (make_document([line], source_id=f"d{i}") for i in range(1000))
+    records = (summary_record(f"d{i}", [line]) for i in range(1000))
     with pytest.raises(ProtocolViolationError, match="failed writing to external command"):
-        list(external_denoise(docs, [sys.executable, "-c", "pass"]))
+        list(external_denoise(records, [sys.executable, "-c", "pass"]))
 
 
 @pytest.mark.parametrize(
@@ -312,4 +364,4 @@ def test_external_command_without_an_argv_raises_before_any_process_starts(monke
 
     monkeypatch.setattr(subprocess, "Popen", no_process)
     with pytest.raises(SumnoiseError, match="command"):
-        list(external_denoise(docs_fixture(), command))
+        list(external_denoise(records_fixture(), command))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,15 +36,20 @@ def synth_docs(records: int, seed: int = 5):
     return [(r.article_doc(), r.summary_doc()) for r in synth_corpus(records, seed)]
 
 
-def noised(pairs, noise_type: NoiseType, base_seed: int, variants: int = DEFAULT_VARIANTS):
-    """Every variant of every pair at the default distribution; synth pairs never fail."""
+def noised(records, noise_type: NoiseType, base_seed: int, variants: int = DEFAULT_VARIANTS):
+    """Every variant of every record at the default distribution, seeded as ``noise`` seeds them.
+
+    The variants come in record order, a record's consecutively; synth records never fail.
+    """
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
-    alignments = [Alignment(clean, article) for article, clean in pairs]
-    return [
-        make_noisy_record(alignment, noise_type, dist, base_seed, variant)
-        for alignment in alignments
-        for variant in range(variants)
-    ]
+    out = []
+    for record in records:
+        alignment = Alignment(record.summary_doc(), record.article_doc())
+        out += [
+            make_noisy_record(alignment, noise_type, dist, derive_seed(base_seed, record.id, variant))
+            for variant in range(variants)
+        ]
+    return out
 
 
 # --- distribution ----------------------------------------------------------
@@ -391,31 +395,32 @@ def test_seeds_and_paraphrases_hash_with_hashlib_blake2b():
 
 def test_make_noisy_record_replays_exactly():
     article, clean = synth_docs(1, seed=8)[0]
-    first = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, 42, 1)
-    second = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, 42, 1)
+    first = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, 42)
+    second = make_noisy_record(Alignment(clean, article), NoiseType.MIXTURE, ONE_NOISY, seed=42)
     assert first == second
 
 
 @pytest.mark.parametrize("noise_type", list(NoiseType))
 def test_generate_emits_three_variants_per_pair(noise_type):
-    pairs = synth_docs(100)
-    records = noised(pairs, noise_type, base_seed=3)
-    assert len(records) == 300
-    per_source = Counter(record.noisy.source_id for record in records)
-    assert per_source == Counter({clean.source_id: 3 for _, clean in pairs})
-    assert len({record.seed for record in records}) == 300
+    corpus = synth_corpus(100, 5)
+    variants = noised(corpus, noise_type, base_seed=3)
+    assert len(variants) == 300
+    # Synth content words are unique to their record, so every variant keeps
+    # some of its own record's summary.
+    for i, variant in enumerate(variants):
+        assert set(variant.noisy.all_tokens) & set(corpus[i // 3].summary_doc().all_tokens)
+    assert len({derive_seed(3, record.id, v) for record in corpus for v in range(3)}) == 300
 
 
 def test_generate_is_deterministic():
-    pairs = synth_docs(40)
-    first = noised(pairs, NoiseType.MIXTURE, base_seed=17)
-    second = noised(pairs, NoiseType.MIXTURE, base_seed=17)
+    corpus = synth_corpus(40, 5)
+    first = noised(corpus, NoiseType.MIXTURE, base_seed=17)
+    second = noised(corpus, NoiseType.MIXTURE, base_seed=17)
     assert first == second
 
 
 def test_generate_mixture_records_concrete_types():
-    pairs = synth_docs(60)
-    records = noised(pairs, NoiseType.MIXTURE, base_seed=1)
+    records = noised(synth_corpus(60, 5), NoiseType.MIXTURE, base_seed=1)
     kinds = {record.noise_type for record in records}
     assert kinds <= {NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA}
     assert len(kinds) == 3
@@ -423,9 +428,9 @@ def test_generate_mixture_records_concrete_types():
 
 @pytest.mark.parametrize("noise_type", [NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA])
 def test_noise_increases_mean_repeat_rate(noise_type):
-    pairs = synth_docs(100, seed=23)
-    records = noised(pairs, noise_type, base_seed=6, variants=1)
+    corpus = synth_corpus(100, 23)
+    records = noised(corpus, noise_type, base_seed=6, variants=1)
     assert len(records) == 100
-    clean_mean = sum(repeat_rate(clean) for _, clean in pairs) / len(pairs)
+    clean_mean = sum(repeat_rate(record.summary_doc()) for record in corpus) / len(corpus)
     noisy_mean = sum(repeat_rate(r.noisy) for r in records) / len(records)
     assert noisy_mean > clean_mean

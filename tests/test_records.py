@@ -20,7 +20,7 @@ def _sentence():
 
 
 def _doc():
-    return SummaryDoc((_sentence(), TokenizedSentence("Dogs bark.", ("dogs", "bark"))), source_id="d1")
+    return SummaryDoc((_sentence(), TokenizedSentence("Dogs bark.", ("dogs", "bark"))))
 
 
 def _row(system="before"):
@@ -32,11 +32,11 @@ def _row(system="before"):
 FROZEN = {
     "CorpusRecord": (lambda: CorpusRecord("r1", ["An article."], ["A summary."], ["Noisy."], {"k": 1}), "noisy"),
     "TokenizedSentence": (_sentence, "tokens"),
-    "SummaryDoc": (_doc, "source_id"),
+    "SummaryDoc": (_doc, "sentences"),
     "NoiseDistribution": (lambda: NoiseDistribution((0.25, 0.75)), "probs"),
     "RougeScore": (lambda: RougeScore(0.5, 0.25, 1 / 3), "f1"),
     "DenoiseResult": (lambda: DenoiseResult(_doc(), (2,)), "output"),
-    "NoisyRecord": (lambda: NoisyRecord(_doc(), NoiseType.REPEAT, (1,), 7), "seed"),
+    "NoisyRecord": (lambda: NoisyRecord(_doc(), NoiseType.REPEAT, (1,)), "noised_indices"),
     "EditClassification": (lambda: EditClassification(EditKind.DELETED, 1, 0), "kind"),
     "OperationDistribution": (
         lambda: OperationDistribution({kind: 0.25 for kind in EditKind}, {kind: 1 for kind in EditKind}, 4),
@@ -79,7 +79,7 @@ def test_equal_field_values_give_equal_objects_and_hashes(name):
 
 def test_a_different_field_value_compares_unequal():
     assert TokenizedSentence("a b", ("a", "b")) != TokenizedSentence("A b", ("a", "b"))
-    assert SummaryDoc(_doc().sentences, source_id="d2") != _doc()
+    assert SummaryDoc(_doc().sentences[::-1]) != _doc()
     assert NoiseDistribution((1.0,)) != NoiseDistribution((0.0, 1.0))
     assert RougeScore(0.5, 0.5, 0.5) != RougeScore(0.5, 0.5, 0.25)
 
@@ -87,8 +87,9 @@ def test_a_different_field_value_compares_unequal():
 def test_constructors_take_positional_and_keyword_fields():
     sentence = TokenizedSentence(raw="The cat sat.", tokens=("the", "cat", "sat"))
     assert sentence == _sentence()
-    assert SummaryDoc(sentences=(sentence,)).source_id == ""
-    assert SummaryDoc((sentence,), "x") == SummaryDoc((sentence,), source_id="x")
+    assert SummaryDoc(sentences=(sentence,)) == SummaryDoc((sentence,))
+    with pytest.raises(TypeError):
+        SummaryDoc((sentence,), "r1")  # the record id belongs to the CorpusRecord
     assert NoiseDistribution(probs=(1.0,)).max_count == 0
 
 

@@ -186,9 +186,8 @@ def test_documents_and_sentences_cannot_be_empty():
 
 
 def test_make_document_preserves_order():
-    doc = make_document(["First here.", "Second there."], source_id="x1")
+    doc = make_document(["First here.", "Second there."])
     assert doc.raw_sentences() == ["First here.", "Second there."]
-    assert doc.source_id == "x1"
     assert len(doc) == 2
 
 
