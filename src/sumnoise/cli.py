@@ -306,6 +306,8 @@ def cmd_noise(args: argparse.Namespace) -> int:
                 ))
                 out.write(line + "\n")
                 produced += 1
+        if not produced:
+            raise EmptyCorpusError(f"no records written from {args.input}, skipped {skipped}")
     print(f"sumnoise: wrote {produced} records, skipped {skipped}", file=sys.stderr)
     return 0
 
@@ -327,6 +329,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         raise UsageError("--command requires --method external")
     threshold = DEFAULT_OVERLAP_THRESHOLD if args.threshold is None else args.threshold
     records = read_corpus(args.input)
+    written = 0
     with _output(args) as out:
         if args.method == "overlap":
             for record in records:
@@ -336,9 +339,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                     "threshold": threshold,
                     "deleted_indices": list(result.deleted_indices),
                 }) + "\n")
-            return 0
-        for record, doc in external_denoise(records, argv):
-            out.write(_denoised_line(record, doc, {"method": "external"}) + "\n")
+                written += 1
+        else:
+            for record, doc in external_denoise(records, argv):
+                out.write(_denoised_line(record, doc, {"method": "external"}) + "\n")
+                written += 1
+        if not written:
+            raise EmptyCorpusError(f"no records in {args.input}")
     return 0
 
 
@@ -364,16 +371,16 @@ def _reference_lookup(index: CorpusIndex) -> Callable[[str], SummaryDoc]:
 
     The lookup raises AlignmentError for an id with neither; eval_report
     calls it only once a pair's ids are checked, so a mismatch is reported
-    first. It keeps the last reference it parsed, so consecutive records
-    with one reference, such as a record's noise variants, share one parse.
+    first. It keeps the last reference it built, so consecutive records
+    with one reference, such as a record's noise variants, share one.
     """
-    parse = functools.lru_cache(maxsize=1)(lambda key: index.record(key).summary_doc())
+    summary_doc = functools.lru_cache(maxsize=1)(index.summary_doc)
 
     def reference(record_id: str) -> SummaryDoc:
         key = record_id if record_id in index.offsets else _VARIANT_SUFFIX.sub("", record_id)
         if key not in index.offsets:
             raise AlignmentError(f"no reference for record {record_id!r}")
-        return parse(key)
+        return summary_doc(key)
 
     return reference
 

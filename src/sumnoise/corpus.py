@@ -11,15 +11,9 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from .errors import (
-    CorpusChangedError,
-    DuplicateIdError,
-    EmptySentenceError,
-    MalformedRecordError,
-    SumnoiseError,
-)
+from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
 from .text import SummaryDoc, make_document, split_sentences
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -35,128 +29,95 @@ class CorpusRecord(NamedTuple):
     provenance: dict[str, Any] | None = None
 
     def article_doc(self) -> SummaryDoc:
-        return self._document(self.article)
+        return _document(self.id, self.article)
 
     def summary_doc(self) -> SummaryDoc:
-        return self._document(self.summary)
+        return _document(self.id, self.summary)
 
     def working_doc(self) -> SummaryDoc:
         """The summary under study: the noisy text when present, else the clean one."""
-        return self._document(self.summary if self.noisy is None else self.noisy)
+        return _document(self.id, self.summary if self.noisy is None else self.noisy)
 
-    def _document(self, sentences: list[str]) -> SummaryDoc:
-        """``make_document`` of one field; a sentence without tokens raises an error naming the record."""
-        try:
-            return make_document(sentences)
-        except EmptySentenceError as error:
-            raise EmptySentenceError(f"record {self.id!r}: {error}") from error
+
+def _document(record_id: str, sentences: list[str]) -> SummaryDoc:
+    """``make_document`` of one field; a sentence without tokens raises an error naming the record."""
+    try:
+        return make_document(sentences)
+    except EmptySentenceError as error:
+        raise EmptySentenceError(f"record {record_id!r}: {error}") from error
 
 
 def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
     """Stream records from a JSON-lines corpus file, validating as it goes.
 
-    Malformed lines (including bytes that are not UTF-8 and text that is not
-    valid Unicode) raise MalformedRecordError with the line number; a
-    repeated id raises DuplicateIdError. Iteration holds one record at a time
-    (plus the set of seen ids).
+    The one validating loop of every corpus read. Malformed lines (including
+    bytes that are not UTF-8 and text that is not valid Unicode) raise
+    MalformedRecordError with the line number; a repeated id raises
+    DuplicateIdError. Iteration holds one record at a time (plus the set of
+    seen ids).
     """
+    seen: set[str] = set()
     with open(path, "rb") as handle:
-        for _, record in _validated(handle):
+        # Binary lines, decoded one by one, so a decode error names its own line.
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise MalformedRecordError(line_number, f"invalid UTF-8: {error}") from error
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise MalformedRecordError(line_number, f"invalid JSON: {error}") from error
+            record = _validate_record(payload, line_number)
+            # Strict UTF-8 holds no surrogates, so only a \uD800-\uDFFF escape
+            # can leave a lone one; memchr for a backslash skips most lines.
+            if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                try:
+                    record_to_line(record).encode("utf-8")
+                except UnicodeEncodeError as error:
+                    surrogate = error.object[error.start]
+                    raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
+            if record.id in seen:
+                raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
+            seen.add(record.id)
             yield record
 
 
 class CorpusIndex:
-    """Records of a corpus file by id, holding only the byte offset of each line.
+    """The summaries of a corpus file by id, kept in a copy of their own.
 
-    Building the index reads the whole file once, through the same validation
-    as ``read_corpus``, so a malformed line or a repeated id raises the same
-    error. ``record`` then seeks to a line and parses it again. A source that
-    cannot seek, such as a pipe, is copied into an unlinked temporary file as
-    it is read, and the index seeks in that copy.
+    Building the index reads the file once through ``read_corpus``, so a
+    malformed line or a repeated id raises the same error. Each record's
+    summary goes, as one JSON line, to an unlinked temporary file, and
+    ``offsets`` maps the record's id to that line. A pipe is read like a
+    file, and a later change to the file does not reach the copy.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self._handle = source = open(path, "rb")
-        try:
-            if source.seekable():
-                lines: Iterable[bytes] = source
-            else:
-                import tempfile  # only a pipe needs it
+        import tempfile  # only eval -r needs it
 
-                self._handle = tempfile.TemporaryFile()
-                lines = _copied(source, self._handle)
-            self.offsets = {record.id: offset for offset, record in _validated(lines)}
+        self._copy = tempfile.TemporaryFile()
+        try:
+            self.offsets: dict[str, int] = {}
+            for record in read_corpus(path):
+                self.offsets[record.id] = self._copy.tell()
+                self._copy.write(json.dumps(record.summary, ensure_ascii=False).encode("utf-8") + b"\n")
         except BaseException:
-            self._handle.close()
+            self._copy.close()
             raise
-        finally:
-            if self._handle is not source:
-                source.close()
 
     def __enter__(self) -> CorpusIndex:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._handle.close()
+        self._copy.close()
 
-    def record(self, record_id: str) -> CorpusRecord:
-        """Parse the record with this id from its line again.
-
-        Raises CorpusChangedError when that line no longer holds a valid
-        record with this id.
-        """
-        self._handle.seek(self.offsets[record_id])
-        line = self._handle.readline()
-        try:
-            record = _validate_record(json.loads(line), 0)
-        except (ValueError, SumnoiseError):  # JSON and UTF-8 errors are ValueErrors
-            record = None
-        if record is None or record.id != record_id:
-            raise CorpusChangedError(
-                f"record {record_id!r} is no longer at byte {self.offsets[record_id]}; "
-                "the file changed while it was read"
-            )
-        return record
-
-
-def _copied(lines: Iterable[bytes], copy: IO[bytes]) -> Iterator[bytes]:
-    """Yield each line after writing it to ``copy``, so offsets hold in the copy."""
-    for raw in lines:
-        copy.write(raw)
-        yield raw
-
-
-def _validated(lines: Iterable[bytes]) -> Iterator[tuple[int, CorpusRecord]]:
-    """The one validating loop of every corpus read: each record with its line's byte offset."""
-    seen: set[str] = set()
-    offset = 0
-    # Binary lines, decoded one by one, so a decode error names its own line.
-    for line_number, raw in enumerate(lines, start=1):
-        start = offset
-        offset += len(raw)
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise MalformedRecordError(line_number, f"invalid UTF-8: {error}") from error
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise MalformedRecordError(line_number, f"invalid JSON: {error}") from error
-        record = _validate_record(payload, line_number)
-        # Strict UTF-8 holds no surrogates, so only a \uD800-\uDFFF escape
-        # can leave a lone one; memchr for a backslash skips most lines.
-        if "\\" in line and _SURROGATE_ESCAPE.search(line):
-            try:
-                record_to_line(record).encode("utf-8")
-            except UnicodeEncodeError as error:
-                surrogate = error.object[error.start]
-                raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
-        if record.id in seen:
-            raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
-        seen.add(record.id)
-        yield start, record
+    def summary_doc(self, record_id: str) -> SummaryDoc:
+        """The summary document of the record with this id, as ``CorpusRecord.summary_doc`` builds it."""
+        self._copy.seek(self.offsets[record_id])
+        return _document(record_id, json.loads(self._copy.readline()))
 
 
 def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:

@@ -50,10 +50,6 @@ class DuplicateIdError(SumnoiseError):
     """A corpus file repeats a record id."""
 
 
-class CorpusChangedError(SumnoiseError):
-    """A corpus file changed between two reads of it."""
-
-
 class AlignmentError(SumnoiseError):
     """Two corpus streams disagree on record ids."""
 

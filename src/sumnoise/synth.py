@@ -21,16 +21,14 @@ from .cli import _at_least_one
 from .corpus import CorpusRecord, write_corpus
 
 _SHARED_WORDS = ("the", "on", "in", "with", "said")
+# Sentences per summary, drawn uniformly from this inclusive range.
+MIN_SENTENCES = 2
+MAX_SENTENCES = 5
 
 
-def synth_record(
-    index: int,
-    rng: random.Random,
-    min_sentences: int = 2,
-    max_sentences: int = 5,
-) -> CorpusRecord:
+def synth_record(index: int, rng: random.Random) -> CorpusRecord:
     """One synthetic record with record-unique content words."""
-    sentence_count = rng.randint(min_sentences, max_sentences)
+    sentence_count = rng.randint(MIN_SENTENCES, MAX_SENTENCES)
     summary_tokens: list[list[str]] = []
     for i in range(sentence_count):
         tokens = [f"s{index}x{i}w{j}" for j in range(4)]
@@ -61,16 +59,9 @@ def synth_record(
     )
 
 
-def synth_corpus(
-    records: int,
-    seed: int = 0,
-    min_sentences: int = 2,
-    max_sentences: int = 5,
-) -> list[CorpusRecord]:
+def synth_corpus(records: int, seed: int = 0) -> list[CorpusRecord]:
     rng = random.Random(seed)
-    return [
-        synth_record(i, rng, min_sentences, max_sentences) for i in range(records)
-    ]
+    return [synth_record(i, rng) for i in range(records)]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

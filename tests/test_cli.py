@@ -11,6 +11,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from sumnoise import noising, synth
+from sumnoise.analysis import aligned_pairs, eval_report
 from sumnoise.cli import cli_main
 from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
 
@@ -334,6 +336,30 @@ def test_variant_that_cannot_be_noised_is_skipped(tmp_path, capsys, case):
         "sumnoise: wrote 3 records, skipped 3",
     ]
     assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
+
+
+@pytest.mark.parametrize("skipped", [0, 1], ids=["empty-input", "every-record-skipped"])
+def test_noise_that_writes_no_record_fails_and_leaves_no_output(tmp_path, capsys, skipped):
+    corpus = tmp_path / "corpus.jsonl"
+    bad = CorpusRecord(id="bad", article=["alpha beta", "?!"], summary=["alpha beta"])
+    write_corpus([bad] * skipped, corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(corpus), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        *["sumnoise: skipped record 'bad': no tokens in sentence: '?!'"] * skipped,
+        f"sumnoise: error: no records written from {corpus}, skipped {skipped}",
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [["--method", "overlap"], ["--method", "external", "--command", "cat"]])
+def test_denoise_of_an_empty_corpus_fails_and_leaves_no_output(tmp_path, capsys, method):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n \n", encoding="utf-8")
+    out = tmp_path / "denoised.jsonl"
+    assert cli_main(["denoise", "-i", str(corpus), "-o", str(out), *method]) == 1
+    assert capsys.readouterr().err == f"sumnoise: error: no records in {corpus}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("noise_type, dist", [("replace", "0,0,1"), ("extra", "0,1")])
@@ -735,6 +761,61 @@ def test_eval_reads_references_from_a_pipe(tmp_path, fixture_corpus, capsys):
     writer.join(timeout=10)
     assert piped == eval_table(noised, denoised, fixture_corpus, capsys)
     assert sorted(os.listdir(tmp_path)) == ["denoised.jsonl", "noised.jsonl", "references"]
+
+
+def test_eval_references_keep_every_character_of_their_summaries(tmp_path, capsys):
+    # Quotes, backslashes, line breaks (\n splits a token, \u2028 too) and
+    # non-ASCII text, inside tokens and between them.
+    summaries = [
+        ['He said "quo"te" twice.', "a back\\slash, \\n and \\u0041 here."],
+        ["one line\nand the next.", "para\u2028graph café\u2028naïve."],
+        ["日本語 テキスト 東京.", "Übermaß ß ǅ ﬁ 𝔘nicode."],
+    ]
+    records = [
+        CorpusRecord(id=f"r{i}", article=["filler words."], summary=summary, noisy=[summary[1], "extra words here."])
+        for i, summary in enumerate(summaries)
+    ]
+    references, corpus = tmp_path / "references.jsonl", tmp_path / "corpus.jsonl"
+    write_corpus([record._replace(noisy=None) for record in records], references)
+    write_corpus(records, corpus)
+    assert cli_main(["eval", "-b", str(corpus), "-a", str(references), "-r", str(references)]) == 0
+    in_memory = {record.id: record.summary_doc() for record in read_corpus(references)}
+    report = eval_report(aligned_pairs(read_corpus(corpus), read_corpus(references)), in_memory.__getitem__)
+    assert capsys.readouterr().out == report.to_tsv() + "\n"
+
+
+# eval -r runs that end in each way: the after corpus, the reference corpus, the start of stderr.
+EVAL_REFERENCE_RUNS = {
+    "success": ("tiny.jsonl", "tiny.jsonl", ""),
+    "bad-after-line": ("broken.jsonl", "tiny.jsonl", "sumnoise: error: line 2: invalid JSON"),
+    "missing-reference": ("tiny.jsonl", "t1-only.jsonl", "sumnoise: error: no reference for record 't2'"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("case", sorted(EVAL_REFERENCE_RUNS))
+def test_eval_references_leave_nothing_in_the_temporary_directory(tmp_path, monkeypatch, capsys, source, case):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    corpus = tiny_corpus(tmp_path)
+    (tmp_path / "broken.jsonl").write_bytes(corpus.read_bytes().splitlines(keepends=True)[0] + b"{broken\n")
+    write_corpus([CorpusRecord(id="t1", article=["a b."], summary=["a b."])], tmp_path / "t1-only.jsonl")
+    after, references, message = EVAL_REFERENCE_RUNS[case]
+    references = tmp_path / references
+    if source == "pipe":
+        fifo = tmp_path / "references"
+        os.mkfifo(fifo)
+        data = references.read_bytes()
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        references = fifo
+    code = cli_main(["eval", "-b", str(corpus), "-a", str(tmp_path / after), "-r", str(references)])
+    if source == "pipe":
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert (code, capsys.readouterr().err.startswith(message)) == (1 if message else 0, True)
+    assert os.listdir(temp) == []
 
 
 @pytest.mark.parametrize("order", ["base-first", "variant-first"])

@@ -9,9 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Loaded only on the paths that need them: the external denoiser (subprocess,
-# shlex), noise seeding (_blake2), `eval -r` from a pipe (tempfile), and
-# nothing at all (dataclasses, which brings inspect, ast, dis and tokenize;
-# hashlib, which loads OpenSSL; queue).
+# shlex), noise seeding (_blake2), `eval -r`'s copy of the reference
+# summaries (tempfile), and nothing at all (dataclasses, which brings
+# inspect, ast, dis and tokenize; hashlib, which loads OpenSSL; queue).
 DEFERRED = {"dataclasses", "inspect", "subprocess", "_blake2", "hashlib", "shlex", "queue", "tempfile"}
 
 
