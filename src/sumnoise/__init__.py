@@ -1,84 +1,69 @@
-"""Redundancy noise injection, denoising, and evaluation for text summaries."""
+"""Redundancy noise injection, denoising, and evaluation for text summaries.
 
-from .analysis import (
-    EditClassification,
-    EditKind,
-    EvalReport,
-    OperationDistribution,
-    aggregate_operations,
-    aligned_pairs,
-    classify_edit,
-    eval_report,
-)
-from .corpus import CorpusRecord, read_corpus, write_corpus
-from .denoise import SENTENCE_SEPARATOR, DenoiseResult, external_denoise, overlap_denoise
-from .errors import SumnoiseError
-from .metrics import (
-    RougeScore,
-    repeat_rate,
-    repetition_count,
-    rouge_l,
-    rouge_n,
-    summary_stats,
-)
-from .noising import (
-    Alignment,
-    DropTokenParaphraser,
-    NoiseDistribution,
-    NoiseType,
-    NoisyRecord,
-    apply_extra,
-    apply_repeat,
-    apply_replace,
-    derive_seed,
-    identity_paraphrase,
-    make_noisy_record,
-    sample_noise_count,
-)
-from .text import SummaryDoc, TokenizedSentence, make_document, sentence_similarity, split_sentences, tokenize, unigram_overlap
+The names below are loaded from their modules on first use (PEP 562), so
+``python -m sumnoise.cli`` loads only the modules its subcommand needs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alignment",
-    "CorpusRecord",
-    "DenoiseResult",
-    "DropTokenParaphraser",
-    "EditClassification",
-    "EditKind",
-    "EvalReport",
-    "NoiseDistribution",
-    "NoiseType",
-    "NoisyRecord",
-    "OperationDistribution",
-    "RougeScore",
-    "SENTENCE_SEPARATOR",
-    "SummaryDoc",
-    "SumnoiseError",
-    "TokenizedSentence",
-    "aggregate_operations",
-    "aligned_pairs",
-    "apply_extra",
-    "apply_repeat",
-    "apply_replace",
-    "classify_edit",
-    "derive_seed",
-    "eval_report",
-    "external_denoise",
-    "identity_paraphrase",
-    "make_document",
-    "make_noisy_record",
-    "overlap_denoise",
-    "read_corpus",
-    "repeat_rate",
-    "repetition_count",
-    "rouge_l",
-    "rouge_n",
-    "sample_noise_count",
-    "sentence_similarity",
-    "split_sentences",
-    "summary_stats",
-    "tokenize",
-    "unigram_overlap",
-    "write_corpus",
-]
+# Each exported name and the module that defines it.
+_SOURCES = {
+    "Alignment": "noising",
+    "CorpusRecord": "corpus",
+    "DenoiseResult": "denoise",
+    "DropTokenParaphraser": "noising",
+    "EditClassification": "analysis",
+    "EditKind": "analysis",
+    "EvalReport": "analysis",
+    "NoiseDistribution": "noising",
+    "NoiseType": "noising",
+    "NoisyRecord": "noising",
+    "OperationDistribution": "analysis",
+    "RougeScore": "metrics",
+    "SENTENCE_SEPARATOR": "denoise",
+    "SummaryDoc": "text",
+    "SumnoiseError": "errors",
+    "TokenizedSentence": "text",
+    "aggregate_operations": "analysis",
+    "aligned_pairs": "analysis",
+    "apply_extra": "noising",
+    "apply_repeat": "noising",
+    "apply_replace": "noising",
+    "classify_edit": "analysis",
+    "derive_seed": "noising",
+    "eval_report": "analysis",
+    "external_denoise": "denoise",
+    "identity_paraphrase": "noising",
+    "make_document": "text",
+    "make_noisy_record": "noising",
+    "overlap_denoise": "denoise",
+    "read_corpus": "corpus",
+    "repeat_rate": "metrics",
+    "repetition_count": "metrics",
+    "rouge_l": "metrics",
+    "rouge_n": "metrics",
+    "sample_noise_count": "noising",
+    "sentence_similarity": "text",
+    "split_sentences": "text",
+    "summary_stats": "metrics",
+    "tokenize": "text",
+    "unigram_overlap": "text",
+    "write_corpus": "corpus",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .corpus import CorpusRecord
 from .errors import AlignmentError, EmptyCorpusError
 from .metrics import (
+    DEFAULT_MATCH_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
     repeat_rate,
     repetition_count,
@@ -27,8 +28,6 @@ from .metrics import (
     summary_stats,
 )
 from .text import SummaryDoc, sentence_similarity
-
-DEFAULT_MATCH_THRESHOLD = 0.5
 
 
 class EditKind(Enum):

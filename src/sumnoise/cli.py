@@ -22,13 +22,12 @@ import stat
 import sys
 from typing import IO, Callable, Iterator, Sequence
 
-from .analysis import DEFAULT_MATCH_THRESHOLD, MetricAccumulator, aggregate_operations, aligned_pairs, eval_report
 from .corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
 from .denoise import command_argv, external_denoise, overlap_denoise
 from .errors import (
     AlignmentError, EmptyCorpusError, EmptySentenceError, InvalidCommandError, InvalidDistributionError, SumnoiseError,
 )
-from .metrics import DEFAULT_OVERLAP_THRESHOLD
+from .metrics import DEFAULT_MATCH_THRESHOLD, DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
     DEFAULT_NOISE_PROBS,
@@ -220,7 +219,10 @@ def _output(args: argparse.Namespace) -> Iterator[IO[str]]:
     # 0o666 less the umask: the mode a plain open() gives a new file. An
     # existing target keeps its own mode, as it would under open(); the umask
     # masks os.open's mode, so that takes an fchmod.
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:  # name the -o path, as open(path, "w") would, not a random one
+        raise type(error)(error.errno, error.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as handle:
             if mode is not None:
@@ -250,6 +252,10 @@ def _report(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def _pairs(args: argparse.Namespace) -> Iterator[tuple[CorpusRecord, CorpusRecord]]:
     """The records of the -b and -a corpora, paired by ``aligned_pairs``."""
+    # The scoring layer is imported by the subcommands that score, here and
+    # below, so that noise and denoise never load it.
+    from .analysis import aligned_pairs
+
     return aligned_pairs(read_corpus(args.before), read_corpus(args.after))
 
 
@@ -334,30 +340,32 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         if args.method == "overlap":
             for record in records:
                 result = overlap_denoise(record.working_doc(), threshold)
-                out.write(_denoised_line(record, result.output, {
+                out.write(_denoised_line(record, result.output.raw_sentences(), {
                     "method": "overlap",
                     "threshold": threshold,
                     "deleted_indices": list(result.deleted_indices),
                 }) + "\n")
                 written += 1
         else:
-            for record, doc in external_denoise(records, argv):
-                out.write(_denoised_line(record, doc, {"method": "external"}) + "\n")
+            for record, sentences in external_denoise(records, argv):
+                out.write(_denoised_line(record, sentences, {"method": "external"}) + "\n")
                 written += 1
         if not written:
             raise EmptyCorpusError(f"no records in {args.input}")
     return 0
 
 
-def _denoised_line(record: CorpusRecord, doc: SummaryDoc, details: dict) -> str:
+def _denoised_line(record: CorpusRecord, sentences: list[str], details: dict) -> str:
     provenance = {**(record.provenance or {}), "denoise": details}
-    return record_to_line(record._replace(noisy=doc.raw_sentences(), provenance=provenance))
+    return record_to_line(record._replace(noisy=sentences, provenance=provenance))
 
 
 # --- eval ----------------------------------------------------------------
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .analysis import eval_report
+
     # Indexed, and so validated, before any before/after line is read.
     with CorpusIndex(args.references) if args.references else contextlib.nullcontext() as index:
         references = None if index is None else _reference_lookup(index)
@@ -389,6 +397,8 @@ def _reference_lookup(index: CorpusIndex) -> Callable[[str], SummaryDoc]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import aggregate_operations
+
     distribution = aggregate_operations(_pairs(args), match_threshold=args.tau_match)
     payload = {
         "samples": distribution.sample_count,
@@ -408,6 +418,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis import MetricAccumulator
+
     accumulator = MetricAccumulator(args.threshold)
     for record in read_corpus(args.input):
         accumulator.add(record.working_doc())

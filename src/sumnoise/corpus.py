@@ -34,9 +34,13 @@ class CorpusRecord(NamedTuple):
     def summary_doc(self) -> SummaryDoc:
         return _document(self.id, self.summary)
 
+    def working_sentences(self) -> list[str]:
+        """The sentences of the summary under study: the noisy text when present, else the clean one."""
+        return self.summary if self.noisy is None else self.noisy
+
     def working_doc(self) -> SummaryDoc:
-        """The summary under study: the noisy text when present, else the clean one."""
-        return _document(self.id, self.summary if self.noisy is None else self.noisy)
+        """The document of ``working_sentences()``."""
+        return _document(self.id, self.working_sentences())
 
 
 def _document(record_id: str, sentences: list[str]) -> SummaryDoc:

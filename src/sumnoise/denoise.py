@@ -20,9 +20,9 @@ from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import CorpusRecord
-from .errors import InvalidCommandError, InvalidThresholdError, ProtocolViolationError
+from .errors import EmptySentenceError, InvalidCommandError, InvalidThresholdError, ProtocolViolationError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
-from .text import SummaryDoc, TokenizedSentence, cached_tokenize, has_tokens, unigram_overlap
+from .text import SummaryDoc, TokenizedSentence, has_tokens, unigram_overlap
 
 SENTENCE_SEPARATOR = "<S>"
 # Bytes of protocol lines the adapter queues ahead of the command: it reads
@@ -74,15 +74,18 @@ def command_argv(command: Sequence[str] | str) -> list[str]:
     return argv
 
 
-def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | str) -> Iterator[tuple[CorpusRecord, SummaryDoc]]:
-    """Pipe each record's ``working_doc()`` through an external line-filter command.
+def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | str) -> Iterator[tuple[CorpusRecord, list[str]]]:
+    """Pipe each record's ``working_sentences()`` through an external line-filter command.
 
     Writes one UTF-8 line per record (sentences joined by
     ``SENTENCE_SEPARATOR``) to the command's stdin and yields each record
-    with the document re-parsed from its output line. Sentences containing
-    the separator or a newline are rejected before their line is queued. A
-    missing, extra, unparseable or non-UTF-8 output line raises
-    ProtocolViolationError naming the offending record.
+    with the sentences of its output line: the pieces between separators,
+    stripped, that have a token. The adapter moves text only; whoever reads
+    tokens builds the document. A sentence without a token raises the
+    EmptySentenceError that the record's ``working_doc()`` raises, and
+    sentences containing the separator or a newline are rejected, all before
+    their line is queued. A missing, extra, unparseable or non-UTF-8 output
+    line raises ProtocolViolationError naming the offending record.
 
     One thread does all the work: it queues lines until a block of bytes
     waits to be sent, and ``select.poll`` tells it when the command can take
@@ -91,14 +94,14 @@ def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | s
     filters that answer line by line and with filters that read all their
     input first.
 
-    An error raised while iterating ``records`` or building a document, or a
-    failed write to the command (a ProtocolViolationError), is held: no
-    further record is read, stdin is closed once the lines already queued
-    are sent, and the output lines still due are yielded, or raise their own
-    error, before the held error is raised. A last output line without a
-    newline is still a line. An empty or unsplittable command raises
-    InvalidCommandError (see ``command_argv``) on the first ``next``, before
-    any process starts.
+    An error raised while iterating ``records`` or checking a record's
+    sentences, or a failed write to the command (a ProtocolViolationError),
+    is held: no further record is read, stdin is closed once the lines
+    already queued are sent, and the output lines still due are yielded, or
+    raise their own error, before the held error is raised. A last output
+    line without a newline is still a line. An empty or unsplittable command
+    raises InvalidCommandError (see ``command_argv``) on the first ``next``,
+    before any process starts.
 
     The command runs in its own session. A run that ends before the command
     has exited (an error, a signal, or a caller that stops iterating) kills
@@ -134,7 +137,7 @@ def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | s
         while pulling and (len(unsent) < _BLOCK or not pending):
             try:
                 record = next(records)
-                unsent.extend(_protocol_line(record.id, record.working_doc()))
+                unsent.extend(_protocol_line(record.id, record.working_sentences()))
             except StopIteration:
                 pulling = False
             except Exception as error:  # raised once the output still due is read
@@ -205,15 +208,22 @@ def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | s
             proc.wait()
 
 
-def _protocol_line(record_id: str, doc: SummaryDoc) -> bytes:
-    """The stdin line of ``doc``, newline included; refuses text the protocol cannot carry."""
-    for sent in doc.sentences:
-        if SENTENCE_SEPARATOR in sent.raw:
+def _protocol_line(record_id: str, sentences: list[str]) -> bytes:
+    """The stdin line of ``sentences``, newline included; refuses text the protocol cannot carry.
+
+    Every sentence is checked for a token before any for the separator, so
+    a record fails as its ``working_doc()`` would first.
+    """
+    for raw in sentences:
+        if not has_tokens(raw):
+            raise EmptySentenceError(f"record {record_id!r}: no tokens in sentence: {raw!r}")
+    for raw in sentences:
+        if SENTENCE_SEPARATOR in raw:
             raise ProtocolViolationError(
                 f"record {record_id!r}: sentence contains "
                 f"separator token {SENTENCE_SEPARATOR!r}"
             )
-    line = f" {SENTENCE_SEPARATOR} ".join(sent.raw for sent in doc.sentences)
+    line = f" {SENTENCE_SEPARATOR} ".join(sentences)
     if "\n" in line:
         raise ProtocolViolationError(
             f"record {record_id!r}: sentence contains a newline, "
@@ -225,18 +235,21 @@ def _protocol_line(record_id: str, doc: SummaryDoc) -> bytes:
         raise ProtocolViolationError(f"failed writing to external command: {error}") from error
 
 
-def _parse_line(raw_line: bytes, record_id: str, end: str) -> SummaryDoc:
-    """The document of one output line; ``end`` is the newline that ended it, if any."""
+def _parse_line(raw_line: bytes, record_id: str, end: str) -> list[str]:
+    """The sentences of one output line: its stripped pieces that have a token.
+
+    ``end`` is the newline that ended the line, if any. A line without such
+    a piece is unparseable.
+    """
     try:
         line = raw_line.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ProtocolViolationError(
             f"record {record_id!r}: output line is not valid UTF-8: {error}"
         ) from error
-    pieces = (piece.strip() for piece in line.split(SENTENCE_SEPARATOR))
-    sentences = tuple(map(cached_tokenize, filter(has_tokens, pieces)))
+    sentences = list(filter(has_tokens, map(str.strip, line.split(SENTENCE_SEPARATOR))))
     if not sentences:
         raise ProtocolViolationError(
             f"record {record_id!r}: unparseable output line {line + end!r}"
         )
-    return SummaryDoc(sentences)
+    return sentences

@@ -21,6 +21,10 @@ from .errors import InvalidThresholdError
 from .text import SummaryDoc
 
 DEFAULT_OVERLAP_THRESHOLD = 0.8
+# The sentence similarity at which ``analysis.classify_edit`` matches an
+# after-sentence to a before-sentence; here so that the CLI's defaults load
+# no scoring code.
+DEFAULT_MATCH_THRESHOLD = 0.5
 
 
 class RougeScore(NamedTuple):

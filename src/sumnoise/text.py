@@ -186,8 +186,7 @@ def tokenize(raw: str) -> TokenizedSentence:
 # variants, a before/after pair. So a small memo of recent strings catches
 # the reuse without growing peak RSS; equal strings then share one immutable
 # TokenizedSentence. Errors are not cached, so an untokenizable string raises
-# on every call. The lines an external denoiser sends back mostly miss: the
-# adapter queues up to 64 KB of input ahead of them, hundreds of records.
+# on every call.
 SENTENCE_CACHE_SIZE = 64
 cached_tokenize = lru_cache(maxsize=SENTENCE_CACHE_SIZE)(tokenize)
 

@@ -1023,6 +1023,20 @@ def test_mid_stream_error_leaves_no_partial_output(tmp_path, capsys, method):
     assert sorted(os.listdir(tmp_path)) == ["existing.jsonl", "source.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["noise", "denoise", "stats"])
+def test_output_into_a_missing_directory_names_the_output_path(tmp_path, capsys, command):
+    # The error names the -o path, as open() would, and not the randomly
+    # named temporary file beside it, so every run prints the same bytes.
+    corpus = tiny_corpus(tmp_path)
+    out = tmp_path / "missing" / "out.jsonl"
+    printed = []
+    for _ in range(2):
+        assert cli_main([command, "-i", str(corpus), "-o", str(out)]) == 1
+        printed.append(capsys.readouterr())
+    assert printed == [("", f"sumnoise: error: [Errno 2] No such file or directory: {str(out)!r}\n")] * 2
+    assert os.listdir(tmp_path) == ["tiny.jsonl"]
+
+
 def test_output_gets_the_mode_a_plain_open_gives(tmp_path, capsys):
     corpus = tiny_corpus(tmp_path)
     plain = tmp_path / "plain"

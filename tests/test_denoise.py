@@ -25,7 +25,7 @@ from sumnoise.noising import (
     make_noisy_record,
 )
 from sumnoise.synth import synth_corpus
-from sumnoise.text import make_document
+from sumnoise.text import SENTENCE_CACHE_SIZE, cached_tokenize, make_document
 
 PASSTHROUGH = [sys.executable, "-c", "import sys\nfor line in sys.stdin: sys.stdout.write(line)"]
 
@@ -192,8 +192,17 @@ def records_fixture():
 def test_external_identity_command_round_trips():
     records = records_fixture()
     out = list(external_denoise(records, PASSTHROUGH))
-    assert [doc.raw_sentences() for _, doc in out] == [record.summary for record in records]
+    assert [sentences for _, sentences in out] == [record.summary for record in records]
     assert [record.id for record, _ in out] == ["d1", "d2", "d3"]
+
+
+def test_external_tokenizes_nothing():
+    # The adapter moves text: neither the lines it sends nor those it reads
+    # back go through the tokenizer, and what it yields is plain strings.
+    cached_tokenize.cache_clear()
+    out = list(external_denoise(records_fixture(), ["cat"]))
+    assert cached_tokenize.cache_info() == (0, 0, SENTENCE_CACHE_SIZE, 0)
+    assert all(type(sentences) is list and all(type(s) is str for s in sentences) for _, sentences in out)
 
 
 def test_external_accepts_shell_style_command_string():
@@ -209,10 +218,8 @@ def test_external_dropping_a_line_is_a_protocol_violation():
 
 
 def test_external_sentence_deletions_are_accepted():
-    out = [doc for _, doc in external_denoise(records_fixture(), DROP_LAST_SENTENCE)]
-    assert [len(d) for d in out] == [1, 1, 2]
-    assert out[0].raw_sentences() == ["alpha beta gamma"]
-    assert out[2].raw_sentences() == ["red green", "blue yellow"]
+    out = [sentences for _, sentences in external_denoise(records_fixture(), DROP_LAST_SENTENCE)]
+    assert out == [["alpha beta gamma"], ["one two three"], ["red green", "blue yellow"]]
 
 
 def test_external_rejects_separator_inside_sentence():
@@ -220,6 +227,17 @@ def test_external_rejects_separator_inside_sentence():
     with pytest.raises(ProtocolViolationError) as excinfo:
         list(external_denoise(bad, PASSTHROUGH))
     assert "oops" in str(excinfo.value)
+
+
+def test_external_reports_a_sentence_without_tokens_before_a_separator():
+    # Every sentence is checked for a token first, as working_doc() would
+    # build them, so the record fails with working_doc()'s error.
+    record = summary_record("both", [f"hello {SENTENCE_SEPARATOR} there", "-- !?"])
+    with pytest.raises(EmptySentenceError) as raised:
+        list(external_denoise([summary_record("d1", ["alpha"]), record], ["cat"]))
+    with pytest.raises(EmptySentenceError) as expected:
+        record.working_doc()
+    assert str(raised.value) == str(expected.value) == "record 'both': no tokens in sentence: '-- !?'"
 
 
 def test_external_rejects_a_newline_inside_a_sentence_before_writing_its_line():
@@ -232,8 +250,8 @@ def test_external_rejects_a_newline_inside_a_sentence_before_writing_its_line():
     ]
     out = []
     with pytest.raises(ProtocolViolationError, match="record 'wrapped': sentence contains a newline"):
-        for record, doc in external_denoise(records, ["cat"]):
-            out.append((record.id, doc.raw_sentences()))
+        for record, sentences in external_denoise(records, ["cat"]):
+            out.append((record.id, sentences))
     assert out == [("d1", ["alpha beta"])]
 
 
@@ -260,7 +278,7 @@ def test_external_lines_end_only_at_a_newline():
     # filter's text-mode stdin would translate it, so this uses cat.)
     records = [summary_record("cr", ["alpha\rbeta", "gamma"]), summary_record("d", ["delta"])]
     out = list(external_denoise(records, ["cat"]))
-    assert [doc.raw_sentences() for _, doc in out] == [["alpha\rbeta", "gamma"], ["delta"]]
+    assert [sentences for _, sentences in out] == [["alpha\rbeta", "gamma"], ["delta"]]
 
 
 def test_external_reads_a_last_line_without_a_newline():
@@ -268,7 +286,7 @@ def test_external_reads_a_last_line_without_a_newline():
     # no trailing newline: the end of its output ends the line.
     records = [summary_record("d1", ["alpha beta"])]
     out = list(external_denoise(records, ["sh", "-c", 'cat >/dev/null; printf "x y <S> z"']))
-    assert [(record.id, doc.raw_sentences()) for record, doc in out] == [("d1", ["x y", "z"])]
+    assert [(record.id, sentences) for record, sentences in out] == [("d1", ["x y", "z"])]
 
 
 def test_external_starts_no_thread():
@@ -285,8 +303,8 @@ def test_external_strips_whitespace_at_sentence_edges_and_keeps_the_tokens():
     # around " <S> "; so edge whitespace of a sentence does not survive cat.
     records = [summary_record("ws", ["  one two  ", "\tthree four\u00a0"])]
     ((_, out),) = external_denoise(records, ["cat"])
-    assert out.raw_sentences() == ["one two", "three four"]
-    assert out.all_tokens == records[0].working_doc().all_tokens
+    assert out == ["one two", "three four"]
+    assert make_document(out).all_tokens == records[0].working_doc().all_tokens
 
 
 def test_external_error_from_the_documents_propagates_unwrapped():
@@ -322,8 +340,8 @@ def test_external_yields_each_record_it_reads_in_order_with_its_own_document(sha
     records = [streamed_record(i, words, noisy) for i, (words, noisy) in enumerate(shapes)]
     stream, expected = records, records
     if failing_at is not None:
-        # A record whose working_doc() raises: every record before it comes
-        # back, then its error is raised.
+        # A record with a sentence without tokens: every record before it
+        # comes back, then its error is raised.
         failing_at %= len(records) + 1
         bad = CorpusRecord("bad", ["An article."], ["fine words", "-- !?"])
         stream, expected = records[:failing_at] + [bad] + records[failing_at:], records[:failing_at]
@@ -334,9 +352,9 @@ def test_external_yields_each_record_it_reads_in_order_with_its_own_document(sha
             for pair in external_denoise(iter(stream), command):
                 out.append(pair)
         assert len(out) == len(expected)
-        for (record, doc), sent in zip(out, expected):
+        for (record, sentences), sent in zip(out, expected):
             assert record is sent
-            assert doc.raw_sentences() == (sent.summary if sent.noisy is None else sent.noisy)
+            assert sentences == (sent.summary if sent.noisy is None else sent.noisy)
 
 
 def test_external_failed_write_is_a_protocol_violation():
