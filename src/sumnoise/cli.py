@@ -22,11 +22,9 @@ import stat
 import sys
 from typing import IO, Callable, Iterator, Sequence
 
-from .corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
-from .denoise import command_argv, external_denoise, overlap_denoise
-from .errors import (
-    AlignmentError, EmptyCorpusError, EmptySentenceError, InvalidCommandError, InvalidDistributionError, SumnoiseError,
-)
+from .corpus import CorpusIndex, CorpusRecord, check_tokens, read_corpus, record_to_line
+from .denoise import external_denoise, overlap_denoise
+from .errors import AlignmentError, EmptyCorpusError, EmptySentenceError, InvalidDistributionError, SumnoiseError
 from .metrics import DEFAULT_MATCH_THRESHOLD, DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
@@ -40,7 +38,7 @@ from .noising import (
     identity_paraphrase,
     make_noisy_record,
 )
-from .text import SummaryDoc, has_tokens
+from .text import SummaryDoc
 
 _VARIANT_SUFFIX = re.compile(r"\.v\d+$")
 
@@ -74,9 +72,24 @@ def _at_least_one(text: str) -> int:
 def _distribution(text: str) -> NoiseDistribution:
     """argparse type of --dist: comma-separated probabilities, checked by NoiseDistribution."""
     try:
-        return NoiseDistribution.parse(text)
+        return NoiseDistribution(tuple(map(float, text.split(","))))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse distribution {text!r}") from None
     except InvalidDistributionError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _command(text: str) -> list[str]:
+    """argparse type of --command: the argv of a shell-style command line, refused when empty."""
+    import shlex  # deferred: only the external denoiser needs it
+
+    try:
+        argv = shlex.split(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(f"cannot split command {text!r}: {error}") from None
+    if not argv:
+        raise argparse.ArgumentTypeError(f"empty command {text!r}")
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"overlap threshold, --method overlap only (default {DEFAULT_OVERLAP_THRESHOLD})",
     )
     denoise.add_argument(
-        "--command", help="external denoiser command (required with --method external)"
+        "--command",
+        type=_command,
+        help="external denoiser command line, split into an argv by shell quoting rules and run "
+        "without a shell (required with --method external)",
     )
     denoise.set_defaults(func=cmd_denoise)
 
@@ -275,15 +291,14 @@ def cmd_noise(args: argparse.Namespace) -> int:
                 if noise_type is NoiseType.REPEAT:
                     # Repeat never reads the article, but a record whose article
                     # has a sentence without tokens is skipped on every type.
+                    check_tokens(record.id, record.article)
                     article = None
-                    if not all(map(has_tokens, record.article)):
-                        record.article_doc()  # raises the error the other types do
                 else:
                     article = record.article_doc()
                 clean = record.summary_doc()
             except EmptySentenceError as error:  # its message names the record
                 print(f"sumnoise: skipped {error}", file=sys.stderr)
-                skipped += 1
+                skipped += args.variants  # every variant of the record is lost
                 continue
             alignment = Alignment(clean, article)
             for variant in range(args.variants):
@@ -325,10 +340,6 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     if args.method == "external":
         if args.command is None:
             raise UsageError("--method external requires --command")
-        try:
-            argv = command_argv(args.command)
-        except InvalidCommandError as error:
-            raise UsageError(f"--command: {error}") from None
         if args.threshold is not None:
             raise UsageError("--threshold requires --method overlap")
     elif args.command is not None:
@@ -347,7 +358,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                 }) + "\n")
                 written += 1
         else:
-            for record, sentences in external_denoise(records, argv):
+            for record, sentences in external_denoise(records, args.command):
                 out.write(_denoised_line(record, sentences, {"method": "external"}) + "\n")
                 written += 1
         if not written:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
-from .text import SummaryDoc, make_document, split_sentences
+from .text import SummaryDoc, has_tokens, make_document, split_sentences
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -49,6 +49,13 @@ def _document(record_id: str, sentences: list[str]) -> SummaryDoc:
         return make_document(sentences)
     except EmptySentenceError as error:
         raise EmptySentenceError(f"record {record_id!r}: {error}") from error
+
+
+def check_tokens(record_id: str, sentences: list[str]) -> None:
+    """Raise the error ``_document`` raises for the first sentence without a token, tokenizing no other."""
+    for raw in sentences:
+        if not has_tokens(raw):
+            _document(record_id, [raw])  # raises EmptySentenceError naming the record
 
 
 def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:

@@ -19,8 +19,8 @@ import signal
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import CorpusRecord
-from .errors import EmptySentenceError, InvalidCommandError, InvalidThresholdError, ProtocolViolationError
+from .corpus import CorpusRecord, check_tokens
+from .errors import InvalidCommandError, InvalidThresholdError, ProtocolViolationError
 from .metrics import DEFAULT_OVERLAP_THRESHOLD
 from .text import SummaryDoc, TokenizedSentence, has_tokens, unigram_overlap
 
@@ -54,28 +54,8 @@ def overlap_denoise(doc: SummaryDoc, threshold: float = DEFAULT_OVERLAP_THRESHOL
     return DenoiseResult(SummaryDoc(tuple(kept)), tuple(deleted))
 
 
-def command_argv(command: Sequence[str] | str) -> list[str]:
-    """The argv of an external denoiser: a string is split shell-style, a sequence copied.
-
-    Raises InvalidCommandError for a string that cannot be split and for an
-    empty argv, so no process is started for either.
-    """
-    if isinstance(command, str):
-        import shlex  # deferred, like the imports of external_denoise
-
-        try:
-            argv = shlex.split(command)
-        except ValueError as error:
-            raise InvalidCommandError(f"cannot split command {command!r}: {error}") from None
-    else:
-        argv = list(command)
-    if not argv:
-        raise InvalidCommandError(f"empty command {command!r}")
-    return argv
-
-
-def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | str) -> Iterator[tuple[CorpusRecord, list[str]]]:
-    """Pipe each record's ``working_sentences()`` through an external line-filter command.
+def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> Iterator[tuple[CorpusRecord, list[str]]]:
+    """Pipe each record's ``working_sentences()`` through the external line-filter command ``argv``.
 
     Writes one UTF-8 line per record (sentences joined by
     ``SENTENCE_SEPARATOR``) to the command's stdin and yields each record
@@ -99,9 +79,10 @@ def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | s
     is held: no further record is read, stdin is closed once the lines
     already queued are sent, and the output lines still due are yielded, or
     raise their own error, before the held error is raised. A last output
-    line without a newline is still a line. An empty or unsplittable command
-    raises InvalidCommandError (see ``command_argv``) on the first ``next``,
-    before any process starts.
+    line without a newline is still a line. ``argv`` is the program and its
+    arguments, already split. An empty one, or a string (a sequence of
+    characters, so ``"cat"`` would run ``c``), raises InvalidCommandError on
+    the first ``next``, before any process starts.
 
     The command runs in its own session. A run that ends before the command
     has exited (an error, a signal, or a caller that stops iterating) kills
@@ -112,7 +93,8 @@ def external_denoise(records: Iterable[CorpusRecord], command: Sequence[str] | s
     import select
     import subprocess
 
-    argv = command_argv(command)
+    if isinstance(argv, str) or not argv:
+        raise InvalidCommandError(f"external command must be a non-empty argv sequence, got {argv!r}")
     # Binary pipes, decoded one line at a time, so that a line that is not
     # UTF-8 is reported against its own record; a session of its own, so
     # that an early end can kill all it started.
@@ -214,9 +196,7 @@ def _protocol_line(record_id: str, sentences: list[str]) -> bytes:
     Every sentence is checked for a token before any for the separator, so
     a record fails as its ``working_doc()`` would first.
     """
-    for raw in sentences:
-        if not has_tokens(raw):
-            raise EmptySentenceError(f"record {record_id!r}: no tokens in sentence: {raw!r}")
+    check_tokens(record_id, sentences)
     for raw in sentences:
         if SENTENCE_SEPARATOR in raw:
             raise ProtocolViolationError(

@@ -32,7 +32,7 @@ class InsufficientSummaryError(SumnoiseError):
 
 
 class InvalidCommandError(SumnoiseError):
-    """An external denoiser command that is empty or cannot be split into an argv."""
+    """An external denoiser argv that is empty, or a string where an argv sequence was due."""
 
 
 class ProtocolViolationError(SumnoiseError):

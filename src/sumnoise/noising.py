@@ -60,14 +60,6 @@ class NoiseDistribution(FrozenValue):
     def max_count(self) -> int:
         return len(self.probs) - 1
 
-    @classmethod
-    def parse(cls, text: str) -> "NoiseDistribution":
-        try:
-            probs = tuple(float(part) for part in text.split(","))
-        except ValueError as exc:
-            raise InvalidDistributionError(f"cannot parse distribution {text!r}") from exc
-        return cls(probs)
-
 
 def identity_paraphrase(sentence: TokenizedSentence) -> TokenizedSentence:
     """Default paraphrase hook: the sentence itself."""

@@ -17,8 +17,8 @@ import argparse
 import random
 from typing import Sequence
 
-from .cli import _at_least_one
-from .corpus import CorpusRecord, write_corpus
+from .cli import _at_least_one, _output
+from .corpus import CorpusRecord, record_to_line
 
 _SHARED_WORDS = ("the", "on", "in", "with", "said")
 # Sentences per summary, drawn uniformly from this inclusive range.
@@ -73,7 +73,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args(argv)
-    write_corpus(synth_corpus(args.records, args.seed), args.output)
+    with _output(args) as handle:  # a run that ends early leaves any earlier file as it was
+        handle.writelines(record_to_line(record) + "\n" for record in synth_corpus(args.records, args.seed))
     return 0
 
 

@@ -129,6 +129,24 @@ def test_synth_refuses_fewer_than_one_record(tmp_path, capsys, records):
     assert not out.exists()
 
 
+def test_interrupted_synth_leaves_the_previous_file_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "corpus.jsonl"
+    out.write_bytes(b"previous\n")
+    complete = synth.synth_corpus
+
+    def interrupted(records, seed):
+        for index, record in enumerate(complete(records, seed)):
+            if index == 29:
+                raise KeyboardInterrupt
+            yield record
+
+    monkeypatch.setattr(synth, "synth_corpus", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        synth.main(["--records", "50", "-o", str(out)])
+    assert out.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
 @pytest.mark.parametrize("dist", ["nan", "0.5,nan,0.5"])
 def test_noise_rejects_a_nan_distribution(tmp_path, fixture_corpus, capsys, dist):
     out = tmp_path / "noised.jsonl"
@@ -268,7 +286,7 @@ def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, caps
     assert cli_main(["noise", "-i", str(corpus), "-o", str(out), "--type", noise_type]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "sumnoise: skipped record 'bad': no tokens in sentence: '-- !?'",
-        "sumnoise: wrote 3 records, skipped 1",
+        "sumnoise: wrote 3 records, skipped 3",  # all 3 variants of 'bad'
     ]
     assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
 
@@ -333,7 +351,7 @@ def test_variant_that_cannot_be_noised_is_skipped(tmp_path, capsys, case):
     assert cli_main(["noise", "-i", str(corpus), "-o", str(out), *flags]) == 0
     assert capsys.readouterr().err.splitlines() == [
         *(f"sumnoise: skipped record 'short' variant {variant}: {message}" for variant in range(3)),
-        "sumnoise: wrote 3 records, skipped 3",
+        "sumnoise: wrote 3 records, skipped 3",  # N + M = 2 records read x 3 variants
     ]
     assert [record.id for record in read_corpus(out)] == ["ok.v0", "ok.v1", "ok.v2"]
 
@@ -347,7 +365,7 @@ def test_noise_that_writes_no_record_fails_and_leaves_no_output(tmp_path, capsys
     assert cli_main(["noise", "-i", str(corpus), "-o", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         *["sumnoise: skipped record 'bad': no tokens in sentence: '?!'"] * skipped,
-        f"sumnoise: error: no records written from {corpus}, skipped {skipped}",
+        f"sumnoise: error: no records written from {corpus}, skipped {3 * skipped}",  # 3 variants a record
     ]
     assert not out.exists()
 
@@ -447,6 +465,7 @@ def test_denoise_external_refuses_hard_wrapped_running_text(tmp_path, capsys):
         pytest.param(["--method", "external", "--command", "   "], id="blank"),
         pytest.param(["--method", "external", "--command", "'x"], id="unclosed-quote"),
         pytest.param(["--command", "./model.sh"], id="without-method-external"),
+        pytest.param(["--method", "overlap", "--command", "'x"], id="unclosed-quote-without-method-external"),
     ],
 )
 def test_denoise_external_requires_command(tmp_path, capsys, flags):
@@ -902,6 +921,7 @@ BAD_THRESHOLD_CASES = {
     "noise-zero-variants": ["noise", "-i", "{missing}", "-o", "{out}", "--variants", "0"],
     "noise-dist-sum": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "0.5,0.4"],
     "noise-dist-not-a-number": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "abc"],
+    "noise-dist-nan": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "0.5,nan,0.5"],
 }
 
 

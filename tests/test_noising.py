@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -65,22 +66,19 @@ def test_distribution_rejects_negative_probabilities():
         NoiseDistribution((1.5, -0.5))
 
 
-@pytest.mark.parametrize("text", ["nan", "0.5,nan,0.5"])
-def test_distribution_rejects_nan(text):
+@pytest.mark.parametrize(
+    "probs",
+    [pytest.param((math.nan,), id="nan"), pytest.param((0.5, math.nan, 0.5), id="0.5,nan,0.5")],
+)
+def test_distribution_rejects_nan(probs):
     # NaN fails every comparison, so neither the sign nor the sum check sees it.
     with pytest.raises(InvalidDistributionError):
-        NoiseDistribution.parse(text)
+        NoiseDistribution(probs)
 
 
 def test_distribution_rejects_empty():
     with pytest.raises(InvalidDistributionError):
         NoiseDistribution(())
-
-
-def test_distribution_parse():
-    assert NoiseDistribution.parse("0.15,0.85").probs == (0.15, 0.85)
-    with pytest.raises(InvalidDistributionError):
-        NoiseDistribution.parse("0.15,abc")
 
 
 def test_sample_degenerate_distribution():
