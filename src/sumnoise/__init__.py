@@ -50,7 +50,6 @@ _SOURCES = {
     "summary_stats": "metrics",
     "tokenize": "text",
     "unigram_overlap": "text",
-    "write_corpus": "corpus",
 }
 
 __all__ = list(_SOURCES)

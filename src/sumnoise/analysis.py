@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import CorpusRecord
 from .errors import AlignmentError, EmptyCorpusError
@@ -194,14 +194,19 @@ def aligned_pairs(before: Iterable[CorpusRecord], after: Iterable[CorpusRecord])
 
 def eval_report(
     pairs: Iterable[tuple[CorpusRecord, CorpusRecord]],
-    references: Callable[[str], SummaryDoc] | None = None,
+    references: Mapping[str, SummaryDoc] | None = None,
     repetition_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
 ) -> EvalReport:
     """Build before/after metric rows over a stream of (before, after) record pairs.
 
     ``pairs`` come as ``aligned_pairs`` yields them; each record is scored on
-    its ``working_doc()``. ``references``, when given, maps a record id to its
-    reference summary; each pair calls it once, after building both documents.
+    its ``working_doc()``. ``references``, when given, maps ids to reference
+    summaries (``in`` and ``[]`` are all it needs, so a dict will do). A pair
+    is scored against the entry under the before record's
+    ``provenance.source_id`` when that is a string the mapping holds, else
+    against the entry under the record's own id; a record with neither
+    raises AlignmentError. Each pair looks up one entry, after building both
+    documents.
 
     Each row reports mean ROUGE-1/2/L F1 against the references (when
     supplied), mean Repeat rate, mean sentence and token counts, and the
@@ -213,7 +218,7 @@ def eval_report(
     }
     for before, after in pairs:
         before_doc, after_doc = before.working_doc(), after.working_doc()
-        reference = None if references is None else references(before.id)
+        reference = None if references is None else _reference(references, before)
         scores = systems["before"].add(before_doc, reference)
         # Every score depends only on the sentences and the reference, so an
         # unchanged document adds the before-document's scores as they are.
@@ -226,6 +231,16 @@ def eval_report(
     return EvalReport(
         rows=tuple(acc.row(name, with_rouge=references is not None) for name, acc in systems.items())
     )
+
+
+def _reference(references: Mapping[str, SummaryDoc], record: CorpusRecord) -> SummaryDoc:
+    """The record's reference: under its ``provenance.source_id``, else under its own id."""
+    source_id = (record.provenance or {}).get("source_id")
+    if isinstance(source_id, str) and source_id in references:
+        return references[source_id]
+    if record.id in references:
+        return references[record.id]
+    raise AlignmentError(f"no reference for record {record.id!r}")
 
 
 class DocumentScores(NamedTuple):

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
-import re
 import signal
 import stat
 import sys
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .corpus import CorpusIndex, CorpusRecord, check_tokens, read_corpus, record_to_line
 from .denoise import external_denoise, overlap_denoise
-from .errors import AlignmentError, EmptyCorpusError, EmptySentenceError, InvalidDistributionError, SumnoiseError
+from .errors import EmptyCorpusError, EmptySentenceError, InvalidDistributionError, SumnoiseError
 from .metrics import DEFAULT_MATCH_THRESHOLD, DEFAULT_OVERLAP_THRESHOLD
 from .metrics import repeat_rate, repetition_count  # noqa: F401  (perfbench/spans.py wraps them here)
 from .noising import (
@@ -38,9 +36,6 @@ from .noising import (
     identity_paraphrase,
     make_noisy_record,
 )
-from .text import SummaryDoc
-
-_VARIANT_SUFFIX = re.compile(r"\.v\d+$")
 
 
 class UsageError(Exception):
@@ -144,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "-r",
         "--references",
-        help="corpus whose summaries serve as ROUGE references (matched by id, "
-        "variant suffixes like .v0 are ignored)",
+        help="corpus whose summaries serve as ROUGE references: a record's reference is the one "
+        "under its provenance.source_id, else the one under its own id",
     )
     evaluate.add_argument("-o", "--output", help="write the report as JSON here")
     evaluate.add_argument("--threshold", type=_unit_interval, default=DEFAULT_OVERLAP_THRESHOLD)
@@ -378,30 +373,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .analysis import eval_report
 
     # Indexed, and so validated, before any before/after line is read.
-    with CorpusIndex(args.references) if args.references else contextlib.nullcontext() as index:
-        references = None if index is None else _reference_lookup(index)
+    with CorpusIndex(args.references) if args.references else contextlib.nullcontext() as references:
         report = eval_report(_pairs(args), references, repetition_threshold=args.threshold)
     _report(args, report.to_dict(), report.to_tsv())
     return 0
-
-
-def _reference_lookup(index: CorpusIndex) -> Callable[[str], SummaryDoc]:
-    """A record's reference summary: by its id, else by the id without a .vN suffix.
-
-    The lookup raises AlignmentError for an id with neither; eval_report
-    calls it only once a pair's ids are checked, so a mismatch is reported
-    first. It keeps the last reference it built, so consecutive records
-    with one reference, such as a record's noise variants, share one.
-    """
-    summary_doc = functools.lru_cache(maxsize=1)(index.summary_doc)
-
-    def reference(record_id: str) -> SummaryDoc:
-        key = record_id if record_id in index.offsets else _VARIANT_SUFFIX.sub("", record_id)
-        if key not in index.offsets:
-            raise AlignmentError(f"no reference for record {record_id!r}")
-        return summary_doc(key)
-
-    return reference
 
 
 # --- analyze -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""JSON-lines corpus records and streaming readers/writers.
+"""JSON-lines corpus records: the streaming reader, the line writer and the summary index.
 
 One record per line: ``{"id": ..., "article": [...], "summary": [...]}`` with
 optional ``noisy`` and ``provenance`` fields. A list value is taken as
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
 from .text import SummaryDoc, has_tokens, make_document, split_sentences
@@ -99,16 +99,21 @@ def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
 class CorpusIndex:
     """The summaries of a corpus file by id, kept in a copy of their own.
 
-    Building the index reads the file once through ``read_corpus``, so a
-    malformed line or a repeated id raises the same error. Each record's
-    summary goes, as one JSON line, to an unlinked temporary file, and
-    ``offsets`` maps the record's id to that line. A pipe is read like a
-    file, and a later change to the file does not reach the copy.
+    A mapping as ``eval_report`` reads references: ``id in index`` and
+    ``index[id]``, the summary document as ``CorpusRecord.summary_doc``
+    builds it. Building the index reads the file once through
+    ``read_corpus``, so a malformed line or a repeated id raises the same
+    error. Each record's summary goes, as one JSON line, to an unlinked
+    temporary file, and ``offsets`` maps the record's id to that line. A pipe
+    is read like a file, and a later change to the file does not reach the
+    copy. ``index[id]`` keeps the last document it built, so consecutive
+    lookups of one id, such as a record's noise variants, share one object.
     """
 
     def __init__(self, path: str | Path) -> None:
         import tempfile  # only eval -r needs it
 
+        self._last: tuple[str, SummaryDoc] | None = None
         self._copy = tempfile.TemporaryFile()
         try:
             self.offsets: dict[str, int] = {}
@@ -125,17 +130,14 @@ class CorpusIndex:
     def __exit__(self, *exc_info: object) -> None:
         self._copy.close()
 
-    def summary_doc(self, record_id: str) -> SummaryDoc:
-        """The summary document of the record with this id, as ``CorpusRecord.summary_doc`` builds it."""
-        self._copy.seek(self.offsets[record_id])
-        return _document(record_id, json.loads(self._copy.readline()))
+    def __contains__(self, record_id: object) -> bool:
+        return record_id in self.offsets
 
-
-def write_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
-    """Write one record per line with a fixed field order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record_to_line(record) + "\n")
+    def __getitem__(self, record_id: str) -> SummaryDoc:
+        if self._last is None or self._last[0] != record_id:
+            self._copy.seek(self.offsets[record_id])
+            self._last = record_id, _document(record_id, json.loads(self._copy.readline()))
+        return self._last[1]
 
 
 def record_to_line(record: CorpusRecord) -> str:

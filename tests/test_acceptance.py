@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus_files import write_records
 from oracles import clipped_match_count, lcs_full_table, precision_recall_f1
 from sumnoise.cli import cli_main
-from sumnoise.corpus import read_corpus, write_corpus
+from sumnoise.corpus import read_corpus
 from sumnoise.denoise import overlap_denoise
 from sumnoise.metrics import repeat_rate, repetition_count, rouge_l, rouge_n, summary_stats
 from sumnoise.noising import NoiseDistribution, apply_repeat, sample_noise_count
@@ -127,7 +128,7 @@ def test_criterion_3_repeat_noise_round_trips_through_overlap_denoise():
 def _noise_cli(tmp_path, capsys, corpus, *flags: str):
     """Noise ``corpus`` at the 15/85 split with the ``noise`` subcommand; read the records back."""
     source, out = tmp_path / "clean.jsonl", tmp_path / "noised.jsonl"
-    write_corpus(corpus, source)
+    write_records(corpus, source)
     assert cli_main(["noise", "-i", str(source), "-o", str(out), "--dist", "0.15,0.85", *flags]) == 0
     assert capsys.readouterr().err.endswith(", skipped 0\n")
     return list(read_corpus(out))

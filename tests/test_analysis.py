@@ -36,14 +36,16 @@ from sumnoise.text import SummaryDoc, TokenizedSentence, make_document, tokenize
 
 
 def noised_records(records: int, seed: int = 19):
-    """Mixture-noised variants of a synth corpus, with ids and seeds as ``noise --seed <seed>`` gives them."""
+    """Mixture-noised variants of a synth corpus, with ids, seeds and source ids as ``noise --seed <seed>`` gives them."""
     dist = NoiseDistribution(DEFAULT_NOISE_PROBS)
     out = []
     for record in synth_corpus(records, seed):
         alignment = Alignment(record.summary_doc(), record.article_doc())
         for variant in range(DEFAULT_VARIANTS):
             noisy = make_noisy_record(alignment, NoiseType.MIXTURE, dist, derive_seed(seed, record.id, variant))
-            out.append(record._replace(id=f"{record.id}.v{variant}", noisy=noisy.noisy.raw_sentences()))
+            out.append(record._replace(
+                id=f"{record.id}.v{variant}", noisy=noisy.noisy.raw_sentences(), provenance={"source_id": record.id}
+            ))
     return out
 
 
@@ -223,7 +225,7 @@ def records_with_ids(texts_by_id):
 
 
 def by_id(records):
-    return {record.id: record.working_doc() for record in records}.__getitem__
+    return {record.id: record.working_doc() for record in records}
 
 
 def test_eval_report_identical_streams_have_identical_rows():
@@ -264,7 +266,7 @@ def test_eval_report_rows_equal_scoring_each_side_on_its_own(pairs, with_referen
         else:
             after.append(record._replace(noisy=other))
         references[record.id] = make_document(other[::-1])
-    report = eval_report(aligned_pairs(before, after), references.__getitem__ if with_references else None)
+    report = eval_report(aligned_pairs(before, after), references if with_references else None)
     # Each column from the metric functions themselves, summed document by
     # document in stream order, as a report sums them.
     n = len(before)
@@ -302,14 +304,15 @@ def test_eval_report_rows_do_not_depend_on_sharing_the_reference_object():
     clean = {r.id: r.summary_doc() for r in synth_corpus(20, 19)}
     assert len(noised) > len(clean)
 
-    def report(reference):
-        def by_variant_id(record_id):  # without its .vN suffix, as eval -r looks it up
-            return reference(record_id.rsplit(".v", 1)[0])
+    class FreshCopies(dict):
+        def __getitem__(self, clean_id):
+            return equal_copy(super().__getitem__(clean_id))
 
-        return eval_report(aligned_pairs(noised, map(denoised, noised)), by_variant_id)
+    def report(references):
+        return eval_report(aligned_pairs(noised, map(denoised, noised)), references)
 
-    shared = report(clean.__getitem__)
-    assert shared.rows == report(lambda clean_id: equal_copy(clean[clean_id])).rows
+    shared = report(clean)
+    assert shared.rows == report(FreshCopies(clean)).rows
     assert shared.rows[0].rouge1 is not None
 
 
@@ -320,6 +323,16 @@ def test_eval_report_self_references_score_hundred():
     assert after.rouge1 == pytest.approx(100.0)
     assert after.rouge2 == pytest.approx(100.0)
     assert after.rouge_l == pytest.approx(100.0)
+
+
+def test_eval_report_takes_a_plain_dict_of_references():
+    records = records_with_ids([("r1", ["x y z"]), ("r2", ["p q"])])
+    reference = make_document(["x y z"])
+    report = eval_report(aligned_pairs(records[:1], records[:1]), {"r1": reference})
+    assert [row.rouge1 for row in report.rows] == [100.0, 100.0]
+    with pytest.raises(AlignmentError) as excinfo:
+        eval_report(aligned_pairs(records, records), {"r1": reference})
+    assert str(excinfo.value) == "no reference for record 'r2'"
 
 
 def test_eval_report_denoising_lowers_repeat_column():

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from corpus_files import write_records
 from sumnoise import noising, synth
 from sumnoise.analysis import aligned_pairs, eval_report
 from sumnoise.cli import cli_main
-from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line, write_corpus
+from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line
 
 PASSTHROUGH_CMD = f"{sys.executable} -c \"import sys; sys.stdout.write(sys.stdin.read())\""
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,7 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def tiny_corpus(tmp_path):
     path = tmp_path / "tiny.jsonl"
-    write_corpus(
+    write_records(
         [
             CorpusRecord(
                 id="t1",
@@ -161,7 +162,7 @@ def test_replace_noise_breaks_an_exact_tie_to_the_earliest_article_sentence(tmp_
     # different floats and picked the second.
     corpus = tmp_path / "tie.jsonl"
     article = ["t0 x0 x1 x2", "t0 t1 y0 y1 y2 y3 y4 y5 y6 y7"]
-    write_corpus([CorpusRecord(id="tie", article=article, summary=["t0 t1"])], corpus)
+    write_records([CorpusRecord(id="tie", article=article, summary=["t0 t1"])], corpus)
     out = tmp_path / "noised.jsonl"
     assert cli_main([
         "noise", "-i", str(corpus), "-o", str(out), "--type", "replace", "--dist", "0,1", "--variants", "1",
@@ -177,8 +178,8 @@ def test_analyze_matches_a_pair_at_exactly_tau_match(tmp_path, capsys):
     before_sentence = " ".join(shared + [f"b{i}" for i in range(7)])
     after_sentence = " ".join(shared + [f"a{i}" for i in range(5)])
     before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
-    write_corpus([CorpusRecord(id="m", article=["x"], summary=[before_sentence])], before)
-    write_corpus([CorpusRecord(id="m", article=["x"], summary=[after_sentence])], after)
+    write_records([CorpusRecord(id="m", article=["x"], summary=[before_sentence])], before)
+    write_records([CorpusRecord(id="m", article=["x"], summary=[after_sentence])], after)
     assert cli_main(["analyze", "-b", str(before), "-a", str(after)]) == 0
     assert "modified\t1\t1.0000" in capsys.readouterr().out.splitlines()
 
@@ -274,7 +275,7 @@ def test_pipeline_output_matches_recorded_digest(tmp_path, fixture_corpus, capsy
 def test_record_with_an_untokenizable_article_sentence_is_skipped(tmp_path, capsys, noise_type):
     # Repeat never reads the article, yet skips such a record like the other types.
     corpus = tmp_path / "corpus.jsonl"
-    write_corpus([
+    write_records([
         CorpusRecord(
             id="ok",
             article=["alpha beta gamma", "delta epsilon", "zeta eta theta"],
@@ -310,8 +311,8 @@ def test_sentence_without_tokens_fails_the_run_naming_the_record(tmp_path, capsy
     template, sentence = UNTOKENIZABLE_RUNS[case]
     good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "out"
     ok = CorpusRecord(id="ok", article=["alpha beta"], summary=["alpha beta"])
-    write_corpus([ok, CorpusRecord(id="a1", article=["gamma delta"], summary=["gamma delta"])], good)
-    write_corpus([
+    write_records([ok, CorpusRecord(id="a1", article=["gamma delta"], summary=["gamma delta"])], good)
+    write_records([
         ok,
         CorpusRecord(id="a1", article=["gamma delta"], summary=["gamma delta", "..."], noisy=["gamma delta", "?!"]),
     ], bad)
@@ -339,7 +340,7 @@ VARIANT_SKIPS = {
 def test_variant_that_cannot_be_noised_is_skipped(tmp_path, capsys, case):
     flags, article, message = VARIANT_SKIPS[case]
     corpus = tmp_path / "corpus.jsonl"
-    write_corpus([
+    write_records([
         CorpusRecord(
             id="ok",
             article=["alpha beta gamma", "delta epsilon", "zeta eta theta"],
@@ -360,7 +361,7 @@ def test_variant_that_cannot_be_noised_is_skipped(tmp_path, capsys, case):
 def test_noise_that_writes_no_record_fails_and_leaves_no_output(tmp_path, capsys, skipped):
     corpus = tmp_path / "corpus.jsonl"
     bad = CorpusRecord(id="bad", article=["alpha beta", "?!"], summary=["alpha beta"])
-    write_corpus([bad] * skipped, corpus)
+    write_records([bad] * skipped, corpus)
     out = tmp_path / "noised.jsonl"
     assert cli_main(["noise", "-i", str(corpus), "-o", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -395,7 +396,7 @@ def test_noise_aligns_each_summary_sentence_once_per_record(
     article = ["alpha beta gamma", "delta epsilon", "zeta eta", "theta iota", "kappa lambda mu"]
     summary = ["alpha beta", "zeta eta", "kappa mu"]
     corpus = tmp_path / "one.jsonl"
-    write_corpus([CorpusRecord(id="r", article=article, summary=summary)], corpus)
+    write_records([CorpusRecord(id="r", article=article, summary=summary)], corpus)
     out = tmp_path / "noised.jsonl"
     assert cli_main([
         "noise", "-i", str(corpus), "-o", str(out),
@@ -497,7 +498,7 @@ def test_denoise_external_protocol_violation_exits_one(tmp_path, capsys):
 def large_corpus(tmp_path):
     """A corpus whose protocol lines add up to about 180 KiB, more than two pipe buffers."""
     path = tmp_path / "large.jsonl"
-    write_corpus(
+    write_records(
         [
             CorpusRecord(
                 id=f"t{i}",
@@ -569,7 +570,7 @@ def test_denoise_external_reports_the_bad_output_line_before_the_failed_write(tm
 def test_denoise_external_names_the_first_unanswered_input_line_from_one(tmp_path, capsys, records, command, line):
     # Input lines count from 1, as corpus lines do in read errors.
     corpus = tmp_path / "corpus.jsonl"
-    write_corpus(
+    write_records(
         [CorpusRecord(id=f"r{i}", article=["alpha beta"], summary=["alpha beta"]) for i in range(1, records + 1)],
         corpus,
     )
@@ -641,10 +642,39 @@ def test_analyze_reports_fractions(tmp_path, fixture_corpus, capsys):
     capsys.readouterr()
 
 
-def test_eval_reference_lookup_strips_variant_suffix(tmp_path, fixture_corpus, capsys):
+def test_eval_finds_each_variant_reference_through_its_source_id(tmp_path, fixture_corpus, capsys):
     noised = tmp_path / "noised.jsonl"
     cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "repeat", "--seed", "9"])
-    assert cli_main(["eval", "-b", str(noised), "-a", str(noised), "-r", str(fixture_corpus)]) == 0
+    clean = {record.id: record for record in read_corpus(fixture_corpus)}
+    variants = list(read_corpus(noised))
+    # The clean references again, each under the id of every variant noised from it.
+    by_variant_id = tmp_path / "by-variant-id.jsonl"
+    write_records([clean[variant.provenance["source_id"]]._replace(id=variant.id) for variant in variants], by_variant_id)
+    capsys.readouterr()
+    table = eval_table(noised, noised, fixture_corpus, capsys)
+    assert table == eval_table(noised, noised, by_variant_id, capsys)
+    assert table.splitlines()[1].split("\t")[1] != "-"
+    # A .vN id without a source id is not cut back to its source's id.
+    bare = tmp_path / "bare.jsonl"
+    write_records([variant._replace(provenance=None) for variant in variants], bare)
+    assert cli_main(["eval", "-b", str(bare), "-a", str(bare), "-r", str(fixture_corpus)]) == 1
+    assert capsys.readouterr().err == f"sumnoise: error: no reference for record {variants[0].id!r}\n"
+
+
+def test_eval_scores_each_variant_against_its_source_when_ids_collide(tmp_path, capsys):
+    # Noising 'a' writes the variant 'a.v0', which is also a clean record's
+    # id. Noise that corrupts no sentence leaves every summary as it is, so
+    # each variant scores 100 against its own source.
+    clean, noised, out = tmp_path / "clean.jsonl", tmp_path / "noised.jsonl", tmp_path / "report.json"
+    write_records([
+        CorpusRecord(id="a", article=["alpha beta gamma."], summary=["alpha beta."]),
+        CorpusRecord(id="a.v0", article=["delta epsilon zeta."], summary=["delta epsilon."]),
+    ], clean)
+    assert cli_main(["noise", "-i", str(clean), "-o", str(noised), "--dist", "1", "--variants", "1"]) == 0
+    assert [record.id for record in read_corpus(noised)] == ["a.v0", "a.v0.v0"]
+    assert cli_main(["eval", "-b", str(noised), "-a", str(noised), "-r", str(clean), "-o", str(out)]) == 0
+    for row in json.loads(out.read_text(encoding="utf-8"))["systems"]:
+        assert (row["rouge1"], row["rouge2"], row["rougeL"]) == (100.0, 100.0, 100.0)
     capsys.readouterr()
 
 
@@ -665,7 +695,7 @@ def test_eval_scores_against_the_reference_summaries_not_their_noisy_text(tmp_pa
 def test_eval_missing_reference_is_an_error(tmp_path, capsys):
     corpus = tiny_corpus(tmp_path)
     other = tmp_path / "other.jsonl"
-    write_corpus([CorpusRecord(id="zz", article=["a b"], summary=["a b"])], other)
+    write_records([CorpusRecord(id="zz", article=["a b"], summary=["a b"])], other)
     assert cli_main(["eval", "-b", str(corpus), "-a", str(corpus), "-r", str(other)]) == 1
     assert capsys.readouterr().err == "sumnoise: error: no reference for record 't1'\n"
 
@@ -680,8 +710,8 @@ def test_eval_checks_record_ids_before_looking_up_the_reference(tmp_path, capsys
     before = tmp_path / "before.jsonl"
     after = tmp_path / "after.jsonl"
     # The before record 'zz' has no reference either.
-    write_corpus([records["t1"], CorpusRecord(id="zz", article=["a b."], summary=["a b."])], before)
-    write_corpus([records[record_id] for record_id in after_ids], after)
+    write_records([records["t1"], CorpusRecord(id="zz", article=["a b."], summary=["a b."])], before)
+    write_records([records[record_id] for record_id in after_ids], after)
     assert cli_main(["eval", "-b", str(before), "-a", str(after), "-r", str(corpus)]) == 1
     assert capsys.readouterr().err == f"sumnoise: error: {message}\n"
 
@@ -795,11 +825,11 @@ def test_eval_references_keep_every_character_of_their_summaries(tmp_path, capsy
         for i, summary in enumerate(summaries)
     ]
     references, corpus = tmp_path / "references.jsonl", tmp_path / "corpus.jsonl"
-    write_corpus([record._replace(noisy=None) for record in records], references)
-    write_corpus(records, corpus)
+    write_records([record._replace(noisy=None) for record in records], references)
+    write_records(records, corpus)
     assert cli_main(["eval", "-b", str(corpus), "-a", str(references), "-r", str(references)]) == 0
     in_memory = {record.id: record.summary_doc() for record in read_corpus(references)}
-    report = eval_report(aligned_pairs(read_corpus(corpus), read_corpus(references)), in_memory.__getitem__)
+    report = eval_report(aligned_pairs(read_corpus(corpus), read_corpus(references)), in_memory)
     assert capsys.readouterr().out == report.to_tsv() + "\n"
 
 
@@ -819,7 +849,7 @@ def test_eval_references_leave_nothing_in_the_temporary_directory(tmp_path, monk
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     corpus = tiny_corpus(tmp_path)
     (tmp_path / "broken.jsonl").write_bytes(corpus.read_bytes().splitlines(keepends=True)[0] + b"{broken\n")
-    write_corpus([CorpusRecord(id="t1", article=["a b."], summary=["a b."])], tmp_path / "t1-only.jsonl")
+    write_records([CorpusRecord(id="t1", article=["a b."], summary=["a b."])], tmp_path / "t1-only.jsonl")
     after, references, message = EVAL_REFERENCE_RUNS[case]
     references = tmp_path / references
     if source == "pipe":
@@ -837,19 +867,44 @@ def test_eval_references_leave_nothing_in_the_temporary_directory(tmp_path, monk
     assert os.listdir(temp) == []
 
 
+def eval_rouge1(tmp_path, capsys, before_record, reference_records):
+    """ROUGE-1 of both rows when ``before_record`` is scored against itself with these references."""
+    before, references, out = tmp_path / "before.jsonl", tmp_path / "references.jsonl", tmp_path / "report.json"
+    write_records([before_record], before)
+    write_records(reference_records, references)
+    assert cli_main(["eval", "-b", str(before), "-a", str(before), "-r", str(references), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    return [row["rouge1"] for row in json.loads(out.read_text(encoding="utf-8"))["systems"]]
+
+
 @pytest.mark.parametrize("order", ["base-first", "variant-first"])
 def test_eval_prefers_the_exact_reference_id_to_the_base_id(tmp_path, capsys, order):
-    before = tmp_path / "before.jsonl"
-    write_corpus([CorpusRecord(id="a.v0", article=["x y."], summary=["x y."], noisy=["one two three."])], before)
-    base = CorpusRecord(id="a", article=["x y."], summary=["four five six."])
+    # A record without provenance is looked up by its own id; the id is never parsed.
     variant = CorpusRecord(id="a.v0", article=["x y."], summary=["one two three."])
-    references = tmp_path / "references.jsonl"
-    write_corpus([base, variant] if order == "base-first" else [variant, base], references)
-    out = tmp_path / "report.json"
-    assert cli_main(["eval", "-b", str(before), "-a", str(before), "-r", str(references), "-o", str(out)]) == 0
-    rows = json.loads(out.read_text(encoding="utf-8"))["systems"]
-    assert [row["rouge1"] for row in rows] == [100.0, 100.0]
-    capsys.readouterr()
+    base = CorpusRecord(id="a", article=["x y."], summary=["four five six."])
+    references = [base, variant] if order == "base-first" else [variant, base]
+    before = variant._replace(noisy=["one two three."])
+    assert eval_rouge1(tmp_path, capsys, before, references) == [100.0, 100.0]
+
+
+@pytest.mark.parametrize("order", ["source-first", "exact-first"])
+def test_eval_prefers_the_source_id_reference_to_the_exact_id(tmp_path, capsys, order):
+    source = CorpusRecord(id="s", article=["x y."], summary=["one two three."])
+    exact = CorpusRecord(id="a.v0", article=["x y."], summary=["four five six."])
+    references = [source, exact] if order == "source-first" else [exact, source]
+    before = exact._replace(noisy=["one two three."], provenance={"source_id": "s"})
+    assert eval_rouge1(tmp_path, capsys, before, references) == [100.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    "source_id", [5, ["s"], None, {"id": "s"}, "missing"], ids=["int", "list", "null", "object", "unheld-string"]
+)
+def test_eval_looks_up_a_record_by_its_own_id_unless_its_source_id_names_a_reference(tmp_path, capsys, source_id):
+    # A source id that is not a string, or names no reference, counts as absent.
+    source = CorpusRecord(id="s", article=["x y."], summary=["four five six."])
+    own = CorpusRecord(id="r", article=["x y."], summary=["one two three."])
+    before = own._replace(noisy=["one two three."], provenance={"source_id": source_id})
+    assert eval_rouge1(tmp_path, capsys, before, [source, own]) == [100.0, 100.0]
 
 
 REFERENCE_ERRORS = {  # reference lines, with "t1" and "t2" standing for those records; message
@@ -1026,7 +1081,7 @@ def test_output_naming_an_input_is_refused(tmp_path, capsys, case):
 @pytest.mark.parametrize("method", [["--method", "overlap"], ["--method", "external", "--command", "cat"]])
 def test_mid_stream_error_leaves_no_partial_output(tmp_path, capsys, method):
     source = tmp_path / "source.jsonl"
-    write_corpus(
+    write_records(
         [CorpusRecord(id=f"r{i}", article=["alpha beta"], summary=["alpha beta", "gamma"]) for i in range(20)],
         source,
     )

@@ -44,6 +44,20 @@ def corpora(**optional):
     return st.lists(records(variant_ids, **optional), max_size=5, unique_by=lambda record: record["id"])
 
 
+@st.composite
+def sourced_corpora(draw):
+    """Corpora whose records may name, as ``noise`` writes it, the base record they came from.
+
+    A source id may also be one that is not a string, which counts as absent.
+    """
+    corpus = draw(corpora())
+    for record in corpus:
+        base_id = record["id"].partition(".")[0]
+        if draw(st.integers(0, 9)):
+            record["provenance"] = {"source_id": draw(st.sampled_from([*[base_id] * 7, 5, None, ["r1"]]))}
+    return corpus
+
+
 def write_jsonl(path, corpus):
     path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in corpus), encoding="utf-8")
 
@@ -78,7 +92,7 @@ def assert_rows_equal_but_for_system(table):
 
 @settings(derandomize=True, max_examples=75, deadline=None)
 @given(
-    corpora(),
+    sourced_corpora(),
     st.lists(records(st.sampled_from(BASE_IDS)), min_size=2, max_size=3, unique_by=lambda record: record["id"]),
 )
 def test_eval_and_analyze_of_a_corpus_against_itself(corpus, base_references):
@@ -95,8 +109,8 @@ def check_corpus_against_itself(directory, corpus, base_references):
     if code == 0:
         assert_rows_equal_but_for_system(table)
 
-    # -r X holds every record's own id. The base references hold ids without
-    # a .vN suffix, and may lack one, which fails the run.
+    # -r X holds every record's own id. The base references hold the base
+    # ids, and may lack a record's source id and its own id, which fails the run.
     for references in (corpus_path, references_path):
         code, table = run("eval", "-b", corpus_path, "-a", corpus_path, "-r", references, "-o", report_path)
         if code == 0:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sumnoise.corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line, write_corpus
+from corpus_files import write_records
+from sumnoise.corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
 from sumnoise.errors import DuplicateIdError, MalformedRecordError
 
 
@@ -27,7 +28,7 @@ def sample_records():
 
 def test_round_trip_preserves_everything(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(sample_records(), path)
+    write_records(sample_records(), path)
     loaded = list(read_corpus(path))
     assert loaded == sample_records()
 
@@ -35,8 +36,8 @@ def test_round_trip_preserves_everything(tmp_path):
 def test_round_trip_is_byte_stable(tmp_path):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    write_corpus(sample_records(), first)
-    write_corpus(read_corpus(first), second)
+    write_records(sample_records(), first)
+    write_records(read_corpus(first), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -131,8 +132,16 @@ def test_index_offsets_point_at_their_lines_across_blank_lines(tmp_path):
     path.write_bytes(f"\n  \r\n{first}\r\n\n{second}\n\n".encode("utf-8"))
     with CorpusIndex(path) as index:
         assert list(index.offsets) == ["r1", "r2"]
-        summaries = [index.summary_doc(record_id) for record_id in ("r2", "r1", "r2")]
-    assert summaries == [record.summary_doc() for record in sample_records()[::-1] + sample_records()[1:]]
+        assert ("r1" in index, "r2" in index, "r3" in index, 5 in index) == (True, True, False, False)
+        with pytest.raises(KeyError):
+            index["r3"]
+        lookups = ("r2", "r2", "r1", "r2")
+        summaries = [index[record_id] for record_id in lookups]
+    expected = {record.id: record.summary_doc() for record in sample_records()}
+    assert summaries == [expected[record_id] for record_id in lookups]
+    # The index keeps the last document it built: a repeated lookup shares
+    # it, and a lookup of another id in between builds a fresh one.
+    assert summaries[1] is summaries[0] and summaries[3] is not summaries[0]
 
 
 @pytest.mark.parametrize(
@@ -158,12 +167,12 @@ def test_index_validates_as_read_corpus_does(tmp_path, tail, error):
 @pytest.mark.parametrize("change", ["truncate", "rewrite"])
 def test_index_keeps_what_it_read_when_the_file_changes_after_indexing(tmp_path, change):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(sample_records(), path)
+    write_records(sample_records(), path)
     with CorpusIndex(path) as index:
         if change == "truncate":
             path.write_bytes(b"")
         else:
-            write_corpus([record._replace(summary=["something else entirely."]) for record in sample_records()], path)
-        assert [index.summary_doc(record_id) for record_id in ("r1", "r2")] == [
+            write_records([record._replace(summary=["something else entirely."]) for record in sample_records()], path)
+        assert [index[record_id] for record_id in ("r1", "r2")] == [
             record.summary_doc() for record in sample_records()
         ]

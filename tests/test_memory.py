@@ -5,8 +5,8 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+from corpus_files import write_records
 from sumnoise.cli import cli_main
-from sumnoise.corpus import write_corpus
 from sumnoise.synth import synth_corpus
 
 SIZES = (500, 2000)
@@ -36,7 +36,7 @@ def test_eval_references_add_no_more_than_an_id_index_to_peak_memory(tmp_path, f
     excess = []
     for records in SIZES:
         corpus = tmp_path / f"corpus{records}.jsonl"
-        write_corpus(synth_corpus(records, seed=1), corpus)
+        write_records(synth_corpus(records, seed=1), corpus)
         plain = traced_peak(["eval", "-b", str(corpus), "-a", str(corpus)])
         with_references = traced_peak(["eval", "-b", str(corpus), "-a", str(corpus), "-r", str(corpus)])
         excess.append(with_references - plain)
