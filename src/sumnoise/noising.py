@@ -4,6 +4,7 @@ Three corruptions, all of which inject repeated or peripheral content:
 
 * repeat:  duplicate random summary sentences at the end
 * replace: swap random summary sentences for the closest article sentence
+           that differs from every summary sentence
 * extra:   insert paraphrased article sentences, keeping article order
 * mixture: per variant, one of the above chosen uniformly
 
@@ -94,12 +95,13 @@ class Alignment:
     reads the article, so it may be None there.
     """
 
-    __slots__ = ("clean", "article", "_closest")
+    __slots__ = ("clean", "article", "_closest", "_replacement")
 
     def __init__(self, clean: SummaryDoc, article: SummaryDoc | None) -> None:
         self.clean = clean
         self.article = article
         self._closest: list[int | None] = [None] * len(clean)
+        self._replacement: list[int | None] = [None] * len(clean)
 
     def closest(self, position: int) -> int:
         """Article index most similar to summary sentence ``position``; ties go to the lowest index."""
@@ -112,6 +114,27 @@ class Alignment:
                 if sim > best_sim:
                     index, best_sim = i, sim
             self._closest[position] = index
+        return index
+
+    def replacement(self, position: int) -> int:
+        """Article index that replace noise puts at summary sentence ``position``; cached like ``closest``.
+
+        The most similar article sentence (ties to the lowest index) whose
+        token types equal no clean summary sentence's: ``closest(position)``
+        unless that one is excluded. Raises InsufficientArticleError when
+        every article sentence is.
+        """
+        index = self._replacement[position]
+        if index is None:
+            index, article = self.closest(position), self.article.sentences
+            excluded = [sent.token_types for sent in self.clean.sentences]
+            if article[index].token_types in excluded:
+                candidates = [i for i, sent in enumerate(article) if sent.token_types not in excluded]
+                if not candidates:
+                    raise InsufficientArticleError("every article sentence has the token types of a summary sentence")
+                target = self.clean.sentences[position]
+                index = max(candidates, key=lambda i: sentence_similarity(target, article[i]))
+            self._replacement[position] = index
         return index
 
 
@@ -139,7 +162,7 @@ def apply_repeat(
 
 
 def apply_replace(alignment: Alignment, k: int, rng: random.Random) -> tuple[SummaryDoc, list[int]]:
-    """Replace k distinct summary sentences with their closest article sentence.
+    """Replace k distinct summary sentences with article sentences (see ``Alignment.replacement``).
 
     Closeness is ``sentence_similarity`` (Dice); exact ties go to the earliest
     article sentence. Returns the noised document and the replaced positions.
@@ -156,7 +179,7 @@ def apply_replace(alignment: Alignment, k: int, rng: random.Random) -> tuple[Sum
     positions = sorted(rng.sample(range(len(clean)), k))
     sentences = list(clean.sentences)
     for pos in positions:
-        sentences[pos] = alignment.article.sentences[alignment.closest(pos)]
+        sentences[pos] = alignment.article.sentences[alignment.replacement(pos)]
     return SummaryDoc(tuple(sentences)), positions
 
 

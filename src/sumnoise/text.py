@@ -226,10 +226,7 @@ def split_sentences(raw_text: str) -> list[str]:
 
 
 def _ends_with_abbreviation(piece: str) -> bool:
-    words = piece.split()
-    if not words:
-        return False
-    last = words[-1]
+    last = piece.split()[-1]  # called on stripped, non-empty pieces only
     if not last.endswith("."):
         return False
     word = last.rstrip(".")

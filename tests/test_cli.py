@@ -333,6 +333,13 @@ VARIANT_SKIPS = {
     "replace": (
         ["--type", "replace", "--dist", "0,0,1"], ["a b c d", "x y z w"], "cannot replace 2 of 1 summary sentences"
     ),
+    # Each article sentence has the summary sentence's token types, so any
+    # replacement would leave the text as it was.
+    "replace-no-new-sentence": (
+        ["--type", "replace", "--dist", "0,1"],
+        ["a b c", "C, b, a!"],
+        "every article sentence has the token types of a summary sentence",
+    ),
 }
 
 
@@ -371,6 +378,15 @@ def test_noise_that_writes_no_record_fails_and_leaves_no_output(tmp_path, capsys
     assert not out.exists()
 
 
+def test_stats_of_an_empty_corpus_fails_and_leaves_no_output(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n \n", encoding="utf-8")
+    out = tmp_path / "stats.json"
+    assert cli_main(["stats", "-i", str(corpus), "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"sumnoise: error: no records in {corpus}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", [["--method", "overlap"], ["--method", "external", "--command", "cat"]])
 def test_denoise_of_an_empty_corpus_fails_and_leaves_no_output(tmp_path, capsys, method):
     corpus = tmp_path / "corpus.jsonl"
@@ -379,6 +395,25 @@ def test_denoise_of_an_empty_corpus_fails_and_leaves_no_output(tmp_path, capsys,
     assert cli_main(["denoise", "-i", str(corpus), "-o", str(out), *method]) == 1
     assert capsys.readouterr().err == f"sumnoise: error: no records in {corpus}\n"
     assert not out.exists()
+
+
+def test_replace_noise_changes_a_summary_copied_from_its_article(tmp_path, capsys):
+    # A Lead-2 summary: each summary sentence is its own closest article
+    # sentence, so the one sentence the summary lacks replaces it.
+    article = ["The council met on Monday.", "It approved the new budget.", "Rain is expected."]
+    corpus = tmp_path / "lead.jsonl"
+    write_records([CorpusRecord(id="lead", article=article, summary=article[:2])], corpus)
+    out = tmp_path / "noised.jsonl"
+    assert cli_main([
+        "noise", "-i", str(corpus), "-o", str(out), "--type", "replace", "--dist", "0,1", "--variants", "2",
+        "--seed", "0",
+    ]) == 0
+    assert capsys.readouterr().err == "sumnoise: wrote 2 records, skipped 0\n"
+    records = list(read_corpus(out))
+    assert [(record.noisy, record.provenance["noised_indices"]) for record in records] == [
+        (["The council met on Monday.", "Rain is expected."], [1]),
+        (["Rain is expected.", "It approved the new budget."], [0]),
+    ]
 
 
 @pytest.mark.parametrize("noise_type, dist", [("replace", "0,0,1"), ("extra", "0,1")])
@@ -403,7 +438,11 @@ def test_noise_aligns_each_summary_sentence_once_per_record(
         "--type", noise_type, "--dist", dist, "--variants", "3",
     ]) == 0
     assert "wrote 3 records, skipped 0" in capsys.readouterr().err
-    assert 0 < len(calls) <= len(summary) * len(article)
+    # One scan of the article per summary sentence. "zeta eta" is also an
+    # article sentence, so replace rescans, once per record, the four
+    # article sentences that hold no summary sentence's token types.
+    rescans = 4 if noise_type == "replace" else 0
+    assert 0 < len(calls) <= len(summary) * len(article) + rescans
 
 
 def test_denoise_external_passthrough(tmp_path):
@@ -974,6 +1013,7 @@ BAD_THRESHOLD_CASES = {
     "stats-negative": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "-1"],
     "stats-not-a-number": ["stats", "-i", "{missing}", "-o", "{out}", "--threshold", "high"],
     "noise-zero-variants": ["noise", "-i", "{missing}", "-o", "{out}", "--variants", "0"],
+    "noise-variants-not-a-number": ["noise", "-i", "{missing}", "-o", "{out}", "--variants", "abc"],
     "noise-dist-sum": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "0.5,0.4"],
     "noise-dist-not-a-number": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "abc"],
     "noise-dist-nan": ["noise", "-i", "{missing}", "-o", "{out}", "--dist", "0.5,nan,0.5"],

@@ -78,6 +78,7 @@ def test_invalid_json_reports_line_number(tmp_path):
         ({"id": "x", "article": ["a b."], "summary": ["a."], "noisy": ["a \ude00"]}, "lone surrogate"),
         ({"id": "x", "article": ["a b."], "summary": ["a."], "provenance": {"k": ["\ud800"]}}, "lone surrogate"),
         ({"id": "x", "article": ["a b."], "summary": ["a."], "provenance": {"\ud800": 1}}, "lone surrogate"),
+        ([1, 2], "record is not an object"),
     ],
 )
 def test_malformed_records_are_rejected(tmp_path, payload, reason_part):

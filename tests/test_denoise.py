@@ -249,6 +249,21 @@ def test_external_rejects_a_newline_inside_a_sentence_before_writing_its_line():
     assert out == [("d1", ["alpha beta"])]
 
 
+def test_external_rejects_a_lone_surrogate_before_writing_its_line():
+    # read_corpus refuses such text, but a record built in code can hold it,
+    # and UTF-8 cannot encode it.
+    records = [
+        summary_record("d1", ["alpha beta"]),
+        summary_record("surrogate", ["alpha \ud800 beta"]),
+        summary_record("d3", ["gamma"]),
+    ]
+    out = []
+    with pytest.raises(ProtocolViolationError, match="failed writing to external command: .*surrogates"):
+        for record, sentences in external_denoise(records, ["cat"]):
+            out.append((record.id, sentences))
+    assert out == [("d1", ["alpha beta"])]
+
+
 def test_external_extra_output_line_is_a_protocol_violation():
     with pytest.raises(ProtocolViolationError):
         list(external_denoise(records_fixture(), EXTRA_LINE))

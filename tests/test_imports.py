@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Loaded only on the paths that need them: the external denoiser (subprocess,
@@ -50,14 +48,3 @@ def test_importing_the_cli_loads_no_scoring_code():
     # package first; only eval, analyze and stats load the scoring layer.
     assert "sumnoise.analysis" not in modules_added_by("import sumnoise.cli")
     assert modules_added_by("import sumnoise") == {"sumnoise"}
-
-
-def test_the_package_resolves_every_exported_name():
-    import sumnoise
-
-    namespace: dict = {}
-    exec("from sumnoise import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sumnoise.__all__)
-    assert set(sumnoise.__all__) <= set(dir(sumnoise))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        sumnoise.no_such_name

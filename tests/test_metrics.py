@@ -112,6 +112,11 @@ def test_rouge_n_crosses_sentence_boundaries():
     assert score.recall == pytest.approx(1.0)
 
 
+def test_rouge_n_refuses_n_below_one():
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        rouge_n(doc_of("a b"), doc_of("a b"), 0)
+
+
 def test_rouge_n_with_no_ngrams_on_either_side_scores_zero():
     score = rouge_n(doc_of("a"), doc_of("a"), 2)
     assert score == RougeScore(0.0, 0.0, 0.0)

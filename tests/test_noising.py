@@ -31,6 +31,7 @@ from sumnoise.synth import synth_corpus
 from sumnoise.text import make_document, tokenize
 
 ONE_NOISY = NoiseDistribution((0.0, 1.0))
+SMALL_SENTENCES = st.lists(st.sampled_from("abcde"), min_size=1, max_size=3).map(" ".join)
 
 
 def synth_docs(records: int, seed: int = 5):
@@ -177,11 +178,14 @@ def test_replace_picks_closest_article_sentence():
     assert indices == [0]
 
 
-def test_replace_verbatim_copy_leaves_sentence_unchanged():
+def test_replace_never_puts_back_a_summary_sentence():
+    # Each summary sentence is copied verbatim from the article, so its
+    # closest article sentence is itself; the replacement is the one article
+    # sentence that no summary sentence holds.
     clean = make_document(["cat sat mat", "dog ran far"])
     article = make_document(["zebras graze quietly", "cat sat mat", "dog ran far"])
     noisy, indices = apply_replace(Alignment(clean, article), 2, random.Random(4))
-    assert noisy.raw_sentences() == clean.raw_sentences()
+    assert noisy.raw_sentences() == ["zebras graze quietly", "zebras graze quietly"]
     assert indices == [0, 1]
 
 
@@ -202,6 +206,35 @@ def test_replace_changes_only_chosen_positions():
         for i, (before, after) in enumerate(zip(clean.sentences, noisy.sentences)):
             if i not in indices:
                 assert before == after
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(SMALL_SENTENCES, min_size=1, max_size=4),
+    st.lists(SMALL_SENTENCES, min_size=1, max_size=7),
+    st.integers(0, 2**32),
+)
+# A Lead-2 summary: each sentence's closest article sentence is itself.
+@example(["a b", "c d"], ["a b", "c d", "e"], 0)
+# Every article sentence has the types of a summary sentence.
+@example(["a b", "c"], ["b a", "c c"], 0)
+def test_replace_puts_in_only_sentences_the_summary_does_not_hold(summary, article, seed):
+    clean, article_doc = make_document(summary), make_document(article)
+    clean_types = {sent.token_types for sent in clean.sentences}
+    allowed = [sent for sent in article_doc.sentences if sent.token_types not in clean_types]
+    alignment = Alignment(clean, article_doc)
+    if not allowed:
+        with pytest.raises(InsufficientArticleError):
+            apply_replace(alignment, 1, random.Random(seed))
+        return
+    noisy, indices = apply_replace(alignment, len(clean), random.Random(seed))
+    assert indices == list(range(len(clean)))
+    for position in indices:
+        replacement = noisy.sentences[position]
+        assert replacement.token_types not in clean_types
+        # The first of the allowed sentences most similar to the one it replaces.
+        target = clean.sentences[position]
+        assert replacement == max(allowed, key=lambda sent: sentence_similarity(target, sent))
 
 
 def test_replace_rejects_k_beyond_summary():
@@ -281,8 +314,6 @@ def test_extra_sentence_multiset_is_clean_plus_insertions():
         assert len(remaining) == len(indices)
 
 
-SMALL_SENTENCES = st.lists(st.sampled_from("abcde"), min_size=1, max_size=3).map(" ".join)
-
 
 @settings(derandomize=True, max_examples=400)
 @given(
@@ -319,6 +350,17 @@ def test_extra_places_insertions_as_the_slot_oracle(summary, article, k, seed):
     noisy, inserted_at = apply_extra(alignment, k, random.Random(seed), recording(calls))
     assert (list(noisy.sentences), inserted_at) == expected
     assert calls == oracle_calls
+
+
+@pytest.mark.parametrize("noise", [
+    lambda alignment, k, rng: apply_repeat(alignment.clean, k, rng),
+    apply_replace,
+    apply_extra,
+], ids=["repeat", "replace", "extra"])
+def test_negative_k_is_refused(noise):
+    alignment = Alignment(make_document(["a b"]), make_document(["c d"]))
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        noise(alignment, -1, random.Random(0))
 
 
 def test_extra_rejects_k_beyond_unmatched_pool():
