@@ -74,12 +74,14 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
     filters that answer line by line and with filters that read all their
     input first.
 
-    An error raised while iterating ``records`` or checking a record's
-    sentences, or a failed write to the command (a ProtocolViolationError),
-    is held: no further record is read, stdin is closed once the lines
-    already queued are sent, and the output lines still due are yielded, or
-    raise their own error, before the held error is raised. A last output
-    line without a newline is still a line. ``argv`` is the program and its
+    The first failure in input order is the one raised. An error raised
+    while iterating ``records`` or checking a record's sentences is held: no
+    further record is read, stdin is closed once the lines already queued
+    are sent, and the output lines still due are yielded, or raise their own
+    error, before the held error is raised. A write the command refuses
+    (because it exited or closed its stdin) only ends the input, so every
+    record it did not answer fails as owed a line. A last output line
+    without a newline is still a line. ``argv`` is the program and its
     arguments, already split. An empty one, or a string (a sequence of
     characters, so ``"cat"`` would run ``c``), raises InvalidCommandError on
     the first ``next``, before any process starts.
@@ -108,29 +110,23 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
     records = iter(records)
     unsent = bytearray()  # queued lines the command has not taken yet
     pending: deque[CorpusRecord] = deque()  # the records of queued lines still owed an output line
-    queued = 0  # lines queued so far
+    answered = 0  # output lines matched to a record so far
     held: Exception | None = None
     pulling = writing = reading = True
     partial = b""  # output after the last newline
-
-    def pull() -> None:
-        """Queue records while less than a block waits to be sent, or none is owed a line."""
-        nonlocal queued, held, pulling
-        while pulling and (len(unsent) < _BLOCK or not pending):
-            try:
-                record = next(records)
-                unsent.extend(_protocol_line(record.id, record.working_sentences()))
-            except StopIteration:
-                pulling = False
-            except Exception as error:  # raised once the output still due is read
-                held, pulling = error, False
-            else:
-                pending.append(record)
-                queued += 1
-
     try:
         while reading or writing:
-            pull()
+            # Queue records while less than a block waits to be sent, or none is owed a line.
+            while pulling and (len(unsent) < _BLOCK or not pending):
+                try:
+                    record = next(records)
+                    unsent.extend(_protocol_line(record.id, record.working_sentences()))
+                except StopIteration:
+                    pulling = False
+                except Exception as error:  # raised once the output still due is read
+                    held, pulling = error, False
+                else:
+                    pending.append(record)
             if held is not None and not pending:
                 raise held
             if writing and not pulling and not unsent:
@@ -144,9 +140,7 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
                         del unsent[: os.write(stdin, unsent)]
                     except BlockingIOError:
                         pass
-                    except OSError as error:  # the command closed its stdin
-                        held = ProtocolViolationError(f"failed writing to external command: {error}")
-                        held.__cause__ = error
+                    except OSError:  # the command closed its stdin: the input ends here
                         pulling = False
                         unsent.clear()
                     continue
@@ -162,19 +156,15 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
                     end = ""
                 for line in lines:
                     if not pending:
-                        pull()
-                        if not pending:
-                            raise held or ProtocolViolationError(
-                                "external command emitted more lines than it was given"
-                            )
+                        raise held or ProtocolViolationError("external command emitted more lines than it was given")
                     record = pending.popleft()
+                    answered += 1
                     yield record, _parse_line(line, record.id, end)
+        # A record still owed a line comes before any held error in the input.
+        if pending:
+            raise ProtocolViolationError(f"no output line for record {pending[0].id!r} (input line {answered + 1})")
         if held is not None:
             raise held
-        if pending:
-            raise ProtocolViolationError(
-                f"no output line for record {pending[0].id!r} (input line {queued - len(pending) + 1})"
-            )
         returncode = proc.wait()
         if returncode != 0:
             raise ProtocolViolationError(
@@ -212,7 +202,7 @@ def _protocol_line(record_id: str, sentences: list[str]) -> bytes:
     try:
         return line.encode("utf-8") + b"\n"
     except UnicodeEncodeError as error:  # text UTF-8 cannot hold, such as a lone surrogate
-        raise ProtocolViolationError(f"failed writing to external command: {error}") from error
+        raise ProtocolViolationError(f"record {record_id!r}: {error}") from error
 
 
 def _parse_line(raw_line: bytes, record_id: str, end: str) -> list[str]:

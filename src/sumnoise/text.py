@@ -82,7 +82,7 @@ class FrozenValue:
 class TokenizedSentence(FrozenValue):
     """One sentence: the original surface text plus its lowercase unigram tokens, at least one."""
 
-    __slots__ = ("raw", "tokens", "_token_types")
+    __slots__ = ("raw", "tokens", "token_types")
     _fields = ("raw", "tokens")
 
     def __init__(self, raw: str, tokens: tuple[str, ...]) -> None:
@@ -90,14 +90,8 @@ class TokenizedSentence(FrozenValue):
             raise EmptySentenceError(f"no tokens in sentence: {raw!r}")
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "_token_types", None)
-
-    @property
-    def token_types(self) -> frozenset[str]:
-        """The distinct tokens; duplicates inside the sentence collapse here. Built on first use."""
-        if self._token_types is None:
-            object.__setattr__(self, "_token_types", frozenset(self.tokens))
-        return self._token_types
+        # The distinct tokens; duplicates inside the sentence collapse here.
+        object.__setattr__(self, "token_types", frozenset(tokens))
 
 
 class SummaryDoc(FrozenValue):

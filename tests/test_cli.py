@@ -551,6 +551,20 @@ def large_corpus(tmp_path):
     return path
 
 
+def denoise_in_child(corpus, out, command):
+    """Run ``denoise --method external`` as its own interpreter, so a deadlock fails on the timeout."""
+    return subprocess.run(
+        [
+            sys.executable, "-m", "sumnoise.cli", "denoise", "-i", str(corpus), "-o", str(out),
+            "--method", "external", "--command", command,
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 LINE_AT_A_TIME = (
     "import sys\n"
     "for line in iter(sys.stdin.readline, ''):\n"
@@ -566,30 +580,20 @@ READ_ALL_FIRST = "import sys; sys.stdout.write(sys.stdin.read())"
 )
 def test_denoise_external_streams_through_either_filter_style(tmp_path, script):
     # The adapter must keep writing while a batch filter reads everything
-    # first, and keep reading while a line filter answers each line at once;
-    # a deadlock in either fails on the timeout instead of hanging the run.
+    # first, and keep reading while a line filter answers each line at once.
     corpus = large_corpus(tmp_path)
     assert sum(len(" <S> ".join(r.summary)) + 1 for r in read_corpus(corpus)) > 128 * 1024
     out = tmp_path / "denoised.jsonl"
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "sumnoise.cli", "denoise", "-i", str(corpus), "-o", str(out),
-            "--method", "external", "--command", f"{sys.executable} -c {shlex.quote(script)}",
-        ],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = denoise_in_child(corpus, out, f"{sys.executable} -c {shlex.quote(script)}")
     assert result.returncode == 0, result.stderr
     assert [(r.id, r.noisy) for r in read_corpus(out)] == [(r.id, r.summary) for r in read_corpus(corpus)]
 
 
-def test_denoise_external_reports_the_bad_output_line_before_the_failed_write(tmp_path, capsys):
+def test_denoise_external_reports_the_bad_output_line_of_a_command_that_exits_early(tmp_path, capsys):
     # The command prints one line and exits without reading, so writing the
-    # rest of a large corpus fails. Its line still comes first: the failed
-    # write is held until the command's output ends. Repeated, because the
-    # order in which the two show up varies from run to run.
+    # rest of a large corpus fails. That failed write only ends the input:
+    # the first failure in input order is the first record's line. Repeated,
+    # because when the write fails varies from run to run.
     corpus = large_corpus(tmp_path)
     out = tmp_path / "denoised.jsonl"
     for _ in range(20):
@@ -599,6 +603,52 @@ def test_denoise_external_reports_the_bad_output_line_before_the_failed_write(tm
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("sumnoise: error: record 't1': output line is not valid UTF-8"), err
+        assert not out.exists()
+
+
+def test_denoise_external_command_that_exits_at_once_gets_the_same_error_every_run(tmp_path, fixture_corpus, capsys):
+    # Whether the first write lands before `true` exits is a race; the error
+    # must not depend on it.
+    noised = tmp_path / "noised.jsonl"
+    assert cli_main(["noise", "-i", str(fixture_corpus), "-o", str(noised), "--type", "repeat", "--seed", "7"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "denoised.jsonl"
+    for _ in range(20):
+        assert cli_main(["denoise", "-i", str(noised), "-o", str(out), "--method", "external", "--command", "true"]) == 1
+        assert capsys.readouterr().err == "sumnoise: error: no output line for record 'r00000.v0' (input line 1)\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "size, malformed_last_line",
+    [
+        pytest.param("large", False, id="large"),
+        pytest.param("small", True, id="small-then-malformed"),
+        pytest.param("large", True, id="large-then-malformed"),
+    ],
+)
+def test_denoise_external_head_is_reported_for_the_second_record_on_every_run(tmp_path, size, malformed_last_line):
+    # `head -n 1` answers the first record and exits. On the large corpus,
+    # more than a pipe holds, a write then fails; a malformed line is read
+    # after every record. Neither is reported: the second record comes first
+    # in input order.
+    if size == "large":
+        corpus = large_corpus(tmp_path)
+    else:
+        corpus = tmp_path / "small.jsonl"
+        write_records(
+            [CorpusRecord(id=f"t{i}", article=["alpha beta"], summary=["alpha beta"]) for i in range(1, 6)],
+            corpus,
+        )
+    if malformed_last_line:
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+    out = tmp_path / "denoised.jsonl"
+    for _ in range(3):
+        result = denoise_in_child(corpus, out, "head -n 1")
+        assert (result.returncode, result.stderr) == (
+            1, "sumnoise: error: no output line for record 't2' (input line 2)\n"
+        )
         assert not out.exists()
 
 

@@ -258,7 +258,7 @@ def test_external_rejects_a_lone_surrogate_before_writing_its_line():
         summary_record("d3", ["gamma"]),
     ]
     out = []
-    with pytest.raises(ProtocolViolationError, match="failed writing to external command: .*surrogates"):
+    with pytest.raises(ProtocolViolationError, match="record 'surrogate': .*surrogates"):
         for record, sentences in external_denoise(records, ["cat"]):
             out.append((record.id, sentences))
     assert out == [("d1", ["alpha beta"])]
@@ -368,10 +368,11 @@ def test_external_yields_each_record_it_reads_in_order_with_its_own_document(sha
 
 def test_external_failed_write_is_a_protocol_violation():
     # The command exits without reading; the summaries outgrow any pipe buffer,
-    # so some write to its stdin must fail.
+    # so some write to its stdin must fail. That only ends the input: the
+    # error names the first record the command did not answer.
     line = "word " * 1000
     records = (summary_record(f"d{i}", [line]) for i in range(1000))
-    with pytest.raises(ProtocolViolationError, match="failed writing to external command"):
+    with pytest.raises(ProtocolViolationError, match=r"^no output line for record 'd0' \(input line 1\)$"):
         list(external_denoise(records, [sys.executable, "-c", "pass"]))
 
 

@@ -93,6 +93,18 @@ def test_sample_point_mass():
     assert all(sample_noise_count(dist, rng) == 2 for _ in range(50))
 
 
+def test_sample_falls_back_to_the_largest_count_above_the_float_sum():
+    # The probabilities sum to just under 1, inside the tolerance, so a draw
+    # can land above every cumulative sum.
+    class AboveTheSum:
+        def random(self):
+            return 0.99999999995
+
+    dist = NoiseDistribution((0.5, 0.4999999999))
+    assert sum(dist.probs) < AboveTheSum().random() < 1.0
+    assert sample_noise_count(dist, AboveTheSum()) == dist.max_count == 1
+
+
 def test_sample_is_deterministic_per_seed():
     dist = NoiseDistribution((0.15, 0.85))
     first = [sample_noise_count(dist, random.Random(7)) for _ in range(20)]

@@ -82,6 +82,10 @@ def test_a_different_field_value_compares_unequal():
     assert SummaryDoc(_doc().sentences[::-1]) != _doc()
     assert NoiseDistribution((1.0,)) != NoiseDistribution((0.0, 1.0))
     assert RougeScore(0.5, 0.5, 0.5) != RougeScore(0.5, 0.5, 0.25)
+    # A FrozenValue never equals the plain tuple of its fields; a NamedTuple record does.
+    assert TokenizedSentence("a b", ("a", "b")) != ("a b", ("a", "b"))
+    assert NoiseDistribution((1.0,)) != ((1.0,),)
+    assert RougeScore(0.5, 0.5, 0.5) == (0.5, 0.5, 0.5)
 
 
 def test_constructors_take_positional_and_keyword_fields():
