@@ -18,7 +18,7 @@ import os
 import signal
 import stat
 import sys
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .corpus import CorpusIndex, CorpusRecord, check_tokens, read_corpus, record_to_line
 from .denoise import external_denoise, overlap_denoise
@@ -168,6 +168,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:  # argparse handles usage errors and --help
         return int(exit_request.code or 0)
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """``args.func(args)``, with a failure it reports printed as one error line and its exit code returned."""
     try:
         return args.func(args)
     except UsageError as error:
@@ -191,10 +196,11 @@ def _terminate(signum: int, frame: object) -> None:
     raise _Terminated()
 
 
-def main() -> None:
+def main(entry: Callable[[], int] = cli_main) -> None:
+    """Exit with ``entry()``'s code, or with 128 plus the signal number when SIGINT or SIGTERM ends it."""
     signal.signal(signal.SIGTERM, _terminate)
     try:
-        code = cli_main()
+        code = entry()
     except (KeyboardInterrupt, _Terminated) as stop:
         signum = signal.SIGINT if isinstance(stop, KeyboardInterrupt) else signal.SIGTERM
         print(f"sumnoise: error: interrupted by {signum.name}", file=sys.stderr)

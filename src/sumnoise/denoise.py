@@ -81,10 +81,12 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
     error, before the held error is raised. A write the command refuses
     (because it exited or closed its stdin) only ends the input, so every
     record it did not answer fails as owed a line. A last output line
-    without a newline is still a line. ``argv`` is the program and its
-    arguments, already split. An empty one, or a string (a sequence of
-    characters, so ``"cat"`` would run ``c``), raises InvalidCommandError on
-    the first ``next``, before any process starts.
+    without a newline is still a line. Once the command's output ends, the
+    run ends: at most one more record is read, and a record still owed a
+    line raises without waiting for the command to exit. ``argv`` is the
+    program and its arguments, already split. An empty one, or a string (a
+    sequence of characters, so ``"cat"`` would run ``c``), raises
+    InvalidCommandError on the first ``next``, before any process starts.
 
     The command runs in its own session. A run that ends before the command
     has exited (an error, a signal, or a caller that stops iterating) kills
@@ -112,12 +114,12 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
     pending: deque[CorpusRecord] = deque()  # the records of queued lines still owed an output line
     answered = 0  # output lines matched to a record so far
     held: Exception | None = None
-    pulling = writing = reading = True
+    pulling = reading = True
     partial = b""  # output after the last newline
     try:
-        while reading or writing:
-            # Queue records while less than a block waits to be sent, or none is owed a line.
-            while pulling and (len(unsent) < _BLOCK or not pending):
+        while True:
+            # Queue records while output runs and less than a block waits to be sent, or none is owed a line.
+            while pulling and (reading and len(unsent) < _BLOCK or not pending):
                 try:
                     record = next(records)
                     unsent.extend(_protocol_line(record.id, record.working_sentences()))
@@ -129,11 +131,11 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
                     pending.append(record)
             if held is not None and not pending:
                 raise held
-            if writing and not pulling and not unsent:
+            if not reading:
+                break
+            if not pulling and not unsent and not proc.stdin.closed:
                 poller.unregister(stdin)
                 proc.stdin.close()
-                writing = False
-                continue
             for fd, _ in poller.poll():
                 if fd == stdin:
                     try:
@@ -150,7 +152,6 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
                     partial = lines.pop()
                     end = "\n"
                 else:
-                    poller.unregister(stdout)
                     reading = False
                     lines = [partial] if partial else []
                     end = ""
@@ -160,16 +161,13 @@ def external_denoise(records: Iterable[CorpusRecord], argv: Sequence[str]) -> It
                     record = pending.popleft()
                     answered += 1
                     yield record, _parse_line(line, record.id, end)
-        # A record still owed a line comes before any held error in the input.
+        # The output has ended. A record still owed a line comes before any held error in the input.
         if pending:
             raise ProtocolViolationError(f"no output line for record {pending[0].id!r} (input line {answered + 1})")
-        if held is not None:
-            raise held
+        proc.stdin.close()
         returncode = proc.wait()
         if returncode != 0:
-            raise ProtocolViolationError(
-                f"external command exited with status {returncode}"
-            )
+            raise ProtocolViolationError(f"external command exited with status {returncode}")
     finally:
         proc.stdin.close()
         proc.stdout.close()

@@ -8,7 +8,7 @@ from the next summary sentence) and a few filler sentences that also borrow
 summary tokens, so replacement and insertion noise genuinely add redundancy.
 
 Run ``python -m sumnoise.synth --records 50 --seed 13 -o corpus.jsonl`` to
-write a corpus file.
+write a corpus file. Errors and signals end it as they end ``sumnoise``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import random
 from typing import Sequence
 
-from .cli import _at_least_one, _output
+from .cli import _at_least_one, _output, _run, main as _cli_main
 from .corpus import CorpusRecord, record_to_line
 
 _SHARED_WORDS = ("the", "on", "in", "with", "said")
@@ -72,11 +72,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--records", type=_at_least_one, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", required=True)
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_write)
+    return _run(parser.parse_args(argv))
+
+
+def _write(args: argparse.Namespace) -> int:
     with _output(args) as handle:  # a run that ends early leaves any earlier file as it was
         handle.writelines(record_to_line(record) + "\n" for record in synth_corpus(args.records, args.seed))
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _cli_main(main)

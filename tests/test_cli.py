@@ -148,6 +148,37 @@ def test_interrupted_synth_leaves_the_previous_file_as_it_was(tmp_path, monkeypa
     assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
 
+def test_synth_into_a_missing_directory_prints_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "corpus.jsonl"
+    assert synth.main(["--records", "5", "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"sumnoise: error: [Errno 2] No such file or directory: {str(out)!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_synth_ended_by_sigterm_removes_its_temporary_file(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "sumnoise.synth", "--records", "100000", "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob(".corpus.jsonl.*.tmp")):
+            assert run.poll() is None and time.monotonic() < deadline, "the run never opened its output"
+            time.sleep(0.01)
+        run.send_signal(signal.SIGTERM)
+        stdout, stderr = run.communicate(timeout=30)
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.communicate()
+    assert (run.returncode, stdout, stderr) == (143, "", "sumnoise: error: interrupted by SIGTERM\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("dist", ["nan", "0.5,nan,0.5"])
 def test_noise_rejects_a_nan_distribution(tmp_path, fixture_corpus, capsys, dist):
     out = tmp_path / "noised.jsonl"
@@ -650,6 +681,20 @@ def test_denoise_external_head_is_reported_for_the_second_record_on_every_run(tm
             1, "sumnoise: error: no output line for record 't2' (input line 2)\n"
         )
         assert not out.exists()
+
+
+def test_denoise_external_does_not_wait_for_a_command_that_closed_its_output(tmp_path):
+    # The command closes its stdout but keeps its stdin open and runs on, and
+    # the corpus is more than a pipe holds. No record can be answered any
+    # more, so the run fails at once and kills the command.
+    corpus = large_corpus(tmp_path)
+    out = tmp_path / "denoised.jsonl"
+    start = time.monotonic()
+    result = denoise_in_child(corpus, out, "sh -c 'exec >&-; exec sleep 30'")
+    elapsed = time.monotonic() - start
+    assert (result.returncode, result.stderr) == (1, "sumnoise: error: no output line for record 't1' (input line 1)\n")
+    assert not out.exists()
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("records, command, line", [

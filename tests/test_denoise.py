@@ -376,6 +376,36 @@ def test_external_failed_write_is_a_protocol_violation():
         list(external_denoise(records, [sys.executable, "-c", "pass"]))
 
 
+def test_external_reads_no_more_input_once_the_output_has_ended():
+    # The command closes its stdout at once, so no record can be answered;
+    # the adapter needs at most one more record to know the error.
+    pulled = 0
+
+    def records():
+        nonlocal pulled
+        for i in range(200_000):
+            pulled += 1
+            yield summary_record(f"d{i}", ["alpha beta"])
+
+    with pytest.raises(ProtocolViolationError, match=r"^no output line for record 'd0' \(input line 1\)$"):
+        list(external_denoise(records(), ["sh", "-c", "exec >&-; cat >/dev/null"]))
+    assert pulled < 20_000
+
+
+def test_external_raises_a_held_error_after_the_last_line_without_a_newline():
+    # The error is held until the output ends, and the end of output both
+    # ends the last line and lets the held error be raised.
+    def records():
+        yield from records_fixture()[:2]
+        raise ValueError("boom")
+
+    out = []
+    with pytest.raises(ValueError, match="^boom$"):
+        for record, sentences in external_denoise(records(), ["sh", "-c", 'cat >/dev/null; printf "x\\ny z"']):
+            out.append((record.id, sentences))
+    assert out == [("d1", ["x"]), ("d2", ["y z"])]
+
+
 @pytest.mark.parametrize(
     "command",
     [
