@@ -20,7 +20,7 @@ import stat
 import sys
 from typing import IO, Callable, Iterator, Sequence
 
-from .corpus import CorpusIndex, CorpusRecord, check_tokens, read_corpus, record_to_line
+from .corpus import CorpusRecord, check_tokens, read_corpus, record_to_line
 from .denoise import external_denoise, overlap_denoise
 from .errors import EmptyCorpusError, EmptySentenceError, InvalidDistributionError, SumnoiseError
 from .metrics import DEFAULT_MATCH_THRESHOLD, DEFAULT_OVERLAP_THRESHOLD
@@ -378,9 +378,15 @@ def _denoised_line(record: CorpusRecord, sentences: list[str], details: dict) ->
 def cmd_eval(args: argparse.Namespace) -> int:
     from .analysis import eval_report
 
-    # Indexed, and so validated, before any before/after line is read.
-    with CorpusIndex(args.references) if args.references else contextlib.nullcontext() as references:
-        report = eval_report(_pairs(args), references, repetition_threshold=args.threshold)
+    if args.references:
+        from .references import CorpusIndex
+
+        # Indexed, and so validated, before any before/after line is read.
+        references = CorpusIndex(args.references)
+    else:
+        references = contextlib.nullcontext()
+    with references as index:
+        report = eval_report(_pairs(args), index, repetition_threshold=args.threshold)
     _report(args, report.to_dict(), report.to_tsv())
     return 0
 

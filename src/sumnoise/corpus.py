@@ -1,4 +1,4 @@
-"""JSON-lines corpus records: the streaming reader, the line writer and the summary index.
+"""JSON-lines corpus records: the streaming reader and the line writer.
 
 One record per line: ``{"id": ..., "article": [...], "summary": [...]}`` with
 optional ``noisy`` and ``provenance`` fields. A list value is taken as
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, BinaryIO, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, EmptySentenceError, MalformedRecordError
 from .text import SummaryDoc, has_tokens, make_document, split_sentences
@@ -64,11 +64,15 @@ def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
     The one validating loop of every corpus read. Malformed lines (including
     bytes that are not UTF-8 and text that is not valid Unicode) raise
     MalformedRecordError with the line number; a repeated id raises
-    DuplicateIdError. Iteration holds one record at a time (plus the set of
-    seen ids).
+    DuplicateIdError. Iteration holds one record at a time, plus 12 to 24
+    bytes per id read: the table of their hashes. A hash that is already
+    there is checked against the ids of the earlier lines, read again, so
+    only a true repeat is an error. An input that cannot seek, such as a
+    pipe, keeps the ids themselves instead.
     """
-    seen: set[str] = set()
     with open(path, "rb") as handle:
+        exact: set[str] | None = None if handle.seekable() else set()
+        hashes, used = _free_slots(64), 0
         # Binary lines, decoded one by one, so a decode error names its own line.
         for line_number, raw in enumerate(handle, start=1):
             try:
@@ -90,60 +94,106 @@ def read_corpus(path: str | Path) -> Iterator[CorpusRecord]:
                 except UnicodeEncodeError as error:
                     surrogate = error.object[error.start]
                     raise MalformedRecordError(line_number, f"lone surrogate {surrogate!r}") from error
-            if record.id in seen:
+            if exact is not None:
+                duplicate = record.id in exact
+                exact.add(record.id)
+            else:
+                # One walk finds the id's hash or the free slot for it.
+                key_hash = _id_hash(record.id)
+                mask = len(hashes) - 1
+                at = key_hash & mask
+                while (held := hashes[at]) != _FREE and not (
+                    held == key_hash and _id_before(handle, handle.tell() - len(raw), record.id)
+                ):
+                    at = (at + 1) & mask
+                duplicate = held != _FREE
+                if not duplicate:
+                    hashes[at] = key_hash
+                    used += 1
+                    if 3 * used > 2 * len(hashes):
+                        hashes = _grown(hashes, 1)
+            if duplicate:
                 raise DuplicateIdError(f"line {line_number}: duplicate id {record.id!r}")
-            seen.add(record.id)
             yield record
 
 
-class CorpusIndex:
-    """The summaries of a corpus file by id, kept in a copy of their own.
+def _id_before(handle: BinaryIO, end: int, record_id: str) -> bool:
+    """Whether a line of ``handle`` before byte ``end`` holds ``record_id``; the position is kept.
 
-    A mapping as ``eval_report`` reads references: ``id in index`` and
-    ``index[id]``, the summary document as ``CorpusRecord.summary_doc``
-    builds it. Building the index reads the file once through
-    ``read_corpus``, so a malformed line or a repeated id raises the same
-    error. Each record's summary goes, as one JSON line, to an unlinked
-    temporary file, and ``offsets`` maps the record's id to that line. A pipe
-    is read like a file, and a later change to the file does not reach the
-    copy. ``index[id]`` keeps the last document it built, so consecutive
-    lookups of one id, such as a record's noise variants, share one object.
+    Every such line was read and validated already, so each blank one is
+    skipped and each other one is a record object with an id.
     """
+    resume = handle.tell()
+    handle.seek(0)
+    try:
+        offset = 0
+        for raw in handle:
+            offset += len(raw)
+            if offset > end:
+                return False
+            line = raw.decode("utf-8")
+            if line.strip() and json.loads(line)["id"] == record_id:
+                return True
+        return False
+    finally:
+        handle.seek(resume)
 
-    def __init__(self, path: str | Path) -> None:
-        import tempfile  # only eval -r needs it
 
-        self._last: tuple[str, SummaryDoc] | None = None
-        self._copy = tempfile.TemporaryFile()
-        try:
-            self.offsets: dict[str, int] = {}
-            for record in read_corpus(path):
-                self.offsets[record.id] = self._copy.tell()
-                self._copy.write(json.dumps(record.summary, ensure_ascii=False).encode("utf-8") + b"\n")
-        except BaseException:
-            self._copy.close()
-            raise
+# An id-hash table, here and in references.CorpusIndex, is open addressing
+# with linear probing: entries of one or more signed 64-bit slots in one
+# bytearray, each entry an id's hash and then its values. It holds no id, so
+# a caller confirms each entry whose hash matches. Its owner doubles it,
+# through _grown, once it is 2/3 full.
+_id_hash = hash
+_FREE = -1  # hash() never returns -1, so it marks a free entry
 
-    def __enter__(self) -> CorpusIndex:
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self._copy.close()
+def _free_slots(count: int) -> memoryview:
+    return memoryview(bytearray(b"\xff") * (8 * count)).cast("q")
 
-    def __contains__(self, record_id: object) -> bool:
-        return record_id in self.offsets
 
-    def __getitem__(self, record_id: str) -> SummaryDoc:
-        if self._last is None or self._last[0] != record_id:
-            self._copy.seek(self.offsets[record_id])
-            self._last = record_id, _document(record_id, json.loads(self._copy.readline()))
-        return self._last[1]
+def _grown(slots: memoryview, width: int) -> memoryview:
+    """The table in twice the slots, each entry rehashed straight from the old buffer."""
+    grown = _free_slots(2 * len(slots))
+    mask = len(grown) // width - 1
+    for start in range(0, len(slots), width):
+        if (key_hash := slots[start]) != _FREE:
+            at = key_hash & mask
+            while grown[at * width] != _FREE:
+                at = (at + 1) & mask
+            grown[at * width:(at + 1) * width] = slots[start:start + width]
+    return grown
+
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# record_to_line's one-entry memo: the last article and summary whose
+# sentences were all str, as tuples, and their encoded members.
+_last_segment: tuple = (None, "")
 
 
 def record_to_line(record: CorpusRecord) -> str:
-    """One JSON line of the record's fields, in declared order, without those that are None."""
-    payload = {name: value for name, value in zip(record._fields, record) if value is not None}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    """One JSON line of the record's fields, in declared order, without those that are None.
+
+    The noise variants of a source share its article and summary, so the
+    encoding of those two is kept from one call to the next while their
+    values stay the same.
+    """
+    global _last_segment
+    record_id, article, summary, noisy, provenance = record
+    sentences = (tuple(article), tuple(summary)) if type(article) is list and type(summary) is list else None
+    memo_sentences, segment = _last_segment  # one read, so another thread's entry is never half used
+    if sentences is None or sentences != memo_sentences:
+        segment = _members({"article": article, "summary": summary})
+        if sentences is not None and all(type(sentence) is str for sentence in sentences[0] + sentences[1]):
+            _last_segment = sentences, segment
+    head = "" if record_id is None else '"id":' + _ENCODER.encode(record_id)
+    tail = _members({"noisy": noisy, "provenance": provenance})
+    return "{" + ",".join(filter(None, (head, segment, tail))) + "}"
+
+
+def _members(fields: dict[str, Any]) -> str:
+    """The encoded members of the fields that are not None, as ``"a":1,"b":2``, without braces."""
+    return _ENCODER.encode({name: value for name, value in fields.items() if value is not None})[1:-1]
 
 
 def _validate_record(payload: Any, line_number: int) -> CorpusRecord:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cli import _at_least_one, _output, _run, main as _cli_main
 from .corpus import CorpusRecord, record_to_line
@@ -59,9 +59,10 @@ def synth_record(index: int, rng: random.Random) -> CorpusRecord:
     )
 
 
-def synth_corpus(records: int, seed: int = 0) -> list[CorpusRecord]:
+def synth_corpus(records: int, seed: int = 0) -> Iterator[CorpusRecord]:
+    """``records`` records from ``seed``, made one at a time as they are read."""
     rng = random.Random(seed)
-    return [synth_record(i, rng) for i in range(records)]
+    return (synth_record(i, rng) for i in range(records))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -6,12 +6,15 @@ instead of summing clipped counts, the LCS is computed with a full quadratic
 table instead of bit-parallel row updates, Repeat counts the sentences that
 hold each token type in a Counter instead of building the set of shared
 types, edits are classified by the greedy alignment loop alone, with no
-short-cut for unchanged documents, and extra noise gives each inserted
-sentence a slot instead of merging the sorted draws into the summary.
+short-cut for unchanged documents, extra noise gives each inserted
+sentence a slot instead of merging the sorted draws into the summary, and a
+corpus line is one ``json.dumps`` of the whole record instead of reusing the
+encoded article and summary of the line before.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from typing import Sequence
 
@@ -118,3 +121,9 @@ def extra_noise_by_slots(clean, article, k: int, rng, paraphraser):
         if i < len(clean.sentences):
             output.append(clean.sentences[i])
     return output, inserted_at
+
+
+def record_line(record) -> str:
+    """``corpus.record_to_line``: one JSON line of the fields that are not None, in declared order."""
+    payload = {name: value for name, value in zip(record._fields, record) if value is not None}
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))

@@ -135,7 +135,7 @@ def _noise_cli(tmp_path, capsys, corpus, *flags: str):
 
 
 def test_criterion_4_noise_distribution_fidelity_and_variant_count(tmp_path, capsys):
-    corpus = synth_corpus(3_334, seed=404)
+    corpus = list(synth_corpus(3_334, seed=404))
     records = _noise_cli(tmp_path, capsys, corpus, "--type", "repeat", "--seed", "404")
     assert len(records) == 3 * len(corpus)
     variants_per_source: dict[str, set[int]] = {}
@@ -154,7 +154,7 @@ def test_criterion_4_noise_distribution_fidelity_and_variant_count(tmp_path, cap
 
 
 def test_criterion_5_every_noise_type_injects_redundancy(tmp_path, capsys):
-    corpus = synth_corpus(500, seed=505)
+    corpus = list(synth_corpus(500, seed=505))
     clean_mean = sum(repeat_rate(r.summary_doc()) for r in corpus) / len(corpus)
     noised_means = {}
     for noise_type in ("repeat", "replace", "extra"):
@@ -185,7 +185,7 @@ def test_criterion_6_overlap_denoise_is_monotone_and_idempotent_on_noised_data(t
 
 
 def test_criterion_7_mixture_keeps_dataset_size_with_uniform_types(tmp_path, capsys):
-    corpus = synth_corpus(3_334, seed=707)
+    corpus = list(synth_corpus(3_334, seed=707))
     records = _noise_cli(tmp_path, capsys, corpus, "--type", "mixture", "--seed", "77")
     assert len(records) == 3 * len(corpus)
     frequencies = {

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_files import write_records
-from sumnoise.corpus import CorpusIndex, CorpusRecord, read_corpus, record_to_line
+from oracles import record_line
+from sumnoise.corpus import CorpusRecord, read_corpus, record_to_line
 from sumnoise.errors import DuplicateIdError, MalformedRecordError
+from sumnoise.references import CorpusIndex
 
 
 def sample_records():
@@ -132,7 +138,6 @@ def test_index_offsets_point_at_their_lines_across_blank_lines(tmp_path):
     first, second = (record_to_line(record) for record in sample_records())
     path.write_bytes(f"\n  \r\n{first}\r\n\n{second}\n\n".encode("utf-8"))
     with CorpusIndex(path) as index:
-        assert list(index.offsets) == ["r1", "r2"]
         assert ("r1" in index, "r2" in index, "r3" in index, 5 in index) == (True, True, False, False)
         with pytest.raises(KeyError):
             index["r3"]
@@ -177,3 +182,106 @@ def test_index_keeps_what_it_read_when_the_file_changes_after_indexing(tmp_path,
         assert [index[record_id] for record_id in ("r1", "r2")] == [
             record.summary_doc() for record in sample_records()
         ]
+
+
+# --- ids whose hashes collide ---------------------------------------------
+
+
+@pytest.fixture
+def colliding_ids(monkeypatch):
+    """Every id hashes alike, so each id read after the first is a hash hit."""
+    monkeypatch.setattr("sumnoise.corpus._id_hash", lambda record_id: 7)
+
+
+def distinct_records(count):
+    return [CorpusRecord(id=f"d{i}", article=[f"a{i} b."], summary=[f"s{i} t."]) for i in range(count)]
+
+
+def corpus_source(tmp_path, data, through):
+    """A path that reads ``data``: a regular file, or a pipe that a thread fills."""
+    if through == "file":
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        return path
+    path = tmp_path / "corpus.fifo"
+    os.mkfifo(path)
+    threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+    return path
+
+
+@pytest.mark.parametrize("through", ["file", "fifo"])
+def test_ids_whose_hashes_collide_are_all_read(tmp_path, colliding_ids, through):
+    records = distinct_records(40)
+    # Blank lines, one of them no-break spaces, between the records.
+    data = "\n\u00a0\r\n".join(map(record_to_line, records)) + "\n"
+    assert list(read_corpus(corpus_source(tmp_path, data.encode("utf-8"), through))) == records
+
+
+@pytest.mark.parametrize("through", ["file", "fifo"])
+@pytest.mark.parametrize("tail", ["", "{nope\n", '{"id": "x"}\n', "\xff\n"])
+def test_a_repeated_id_among_colliding_ones_names_its_line(tmp_path, colliding_ids, through, tail):
+    records = distinct_records(30)
+    lines = [record_to_line(record) for record in records]
+    lines.insert(20, "")
+    lines.append(record_to_line(records[12]._replace(summary=["another summary."])))  # line 32
+    data = "\n".join(lines).encode("utf-8") + b"\n" + tail.encode("latin-1")
+    with pytest.raises(DuplicateIdError) as excinfo:
+        list(read_corpus(corpus_source(tmp_path, data, through)))
+    # A malformed line after the repeated id is never reached.
+    assert str(excinfo.value) == "line 32: duplicate id 'd12'"
+
+
+def test_index_tells_colliding_ids_apart(tmp_path, colliding_ids):
+    path = tmp_path / "corpus.jsonl"
+    records = distinct_records(25)
+    write_records(records, path)
+    with CorpusIndex(path) as index:
+        for record in reversed(records):
+            assert record.id in index
+            assert index[record.id] == record.summary_doc()
+        assert "d25" not in index and 7 not in index
+        with pytest.raises(KeyError):
+            index["d25"]
+
+
+# --- record_to_line --------------------------------------------------------
+
+SENTENCES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "\u00e9t\u00e9", "\u65e5\u672c", 'a "b" \\c']),
+)
+VALUES = st.one_of(SENTENCES, st.sampled_from([1, True, 1.0, 0, False, None]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_record_to_line_is_one_dump_of_the_whole_record(data):
+    # Records that share list objects, copy them, mutate them in place between
+    # lines and alternate between them, against the line the oracle writes.
+    lists = data.draw(st.lists(st.lists(VALUES, max_size=4), min_size=1, max_size=3))
+    field = st.one_of(st.none(), st.sampled_from(lists), st.sampled_from(lists).map(list))
+    for _ in range(data.draw(st.integers(1, 10))):
+        if data.draw(st.booleans()):
+            target = data.draw(st.sampled_from(lists))
+            change = data.draw(st.sampled_from(["append", "replace", "pop"]))
+            if change == "append" or not target:
+                target.append(data.draw(VALUES))
+            elif change == "replace":
+                target[data.draw(st.integers(0, len(target) - 1))] = data.draw(VALUES)
+            else:
+                target.pop()
+            continue
+        record = CorpusRecord(
+            id=data.draw(st.one_of(st.none(), SENTENCES)),
+            article=data.draw(field),
+            summary=data.draw(field),
+            noisy=data.draw(st.one_of(st.none(), st.lists(VALUES, max_size=3))),
+            provenance=data.draw(st.one_of(st.none(), st.dictionaries(SENTENCES, VALUES, max_size=2))),
+        )
+        assert record_to_line(record) == record_line(record)
+
+
+def test_record_to_line_tells_equal_values_of_other_types_apart():
+    for article in (["1"], [1], [True], [1.0], ["1"]):
+        record = CorpusRecord(id="x", article=article, summary=["s"])
+        assert record_to_line(record) == record_line(record)

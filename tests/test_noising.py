@@ -454,7 +454,7 @@ def test_make_noisy_record_replays_exactly():
 
 @pytest.mark.parametrize("noise_type", list(NoiseType))
 def test_generate_emits_three_variants_per_pair(noise_type):
-    corpus = synth_corpus(100, 5)
+    corpus = list(synth_corpus(100, 5))
     variants = noised(corpus, noise_type, base_seed=3)
     assert len(variants) == 300
     # Synth content words are unique to their record, so every variant keeps
@@ -465,7 +465,7 @@ def test_generate_emits_three_variants_per_pair(noise_type):
 
 
 def test_generate_is_deterministic():
-    corpus = synth_corpus(40, 5)
+    corpus = list(synth_corpus(40, 5))
     first = noised(corpus, NoiseType.MIXTURE, base_seed=17)
     second = noised(corpus, NoiseType.MIXTURE, base_seed=17)
     assert first == second
@@ -480,7 +480,7 @@ def test_generate_mixture_records_concrete_types():
 
 @pytest.mark.parametrize("noise_type", [NoiseType.REPEAT, NoiseType.REPLACE, NoiseType.EXTRA])
 def test_noise_increases_mean_repeat_rate(noise_type):
-    corpus = synth_corpus(100, 23)
+    corpus = list(synth_corpus(100, 23))
     records = noised(corpus, noise_type, base_seed=6, variants=1)
     assert len(records) == 100
     clean_mean = sum(repeat_rate(record.summary_doc()) for record in corpus) / len(corpus)
